@@ -6,7 +6,9 @@
 //       one-to-one kernel (what every method's verification loop did before
 //       the batch migration), against
 //   (b) each compiled-and-runnable tier's one-to-many batch kernel
-//       (prefetched, as used by core/verify.h).
+//       (prefetched, as used by core/verify.h),
+// plus one row for PQ ADC: per-candidate scalar calls against PqStore's
+// prefetching batch loop (PQ scoring has no vector tier).
 //
 // Self-timed on purpose (no google-benchmark dependency), so it always
 // builds and the "batch >= 2x scalar at dim >= 128" acceptance check can
@@ -15,10 +17,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "dataset/float_matrix.h"
+#include "dataset/vector_store.h"
+#include "simd/scalar_kernels.h"
 #include "simd/simd.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -126,35 +132,30 @@ int main(int argc, char** argv) {
 
     // PQ ADC scan at the same candidate stream: m = floor(0.48 * dim) code
     // bytes per row (the finest codebook under 0.12x of fp32, matching the
-    // serving default), scored via per-query LUT accumulation. Baseline is
-    // per-candidate scalar pq_adc calls; each tier's pq_adc_batch rides the
-    // same prefetch scheme as the float kernels.
+    // serving default), scored via per-query LUT accumulation. PQ has one
+    // scalar kernel on every tier: the row compares per-candidate
+    // ScalarPqAdc calls with PqStore::ScoreBatch's prefetching loop.
     const size_t m = std::max<size_t>(1, (dim * 48) / 100);
-    std::vector<uint8_t> codes(n * m);
-    for (auto& c : codes) c = static_cast<uint8_t>(rng.UniformInt(256));
-    std::vector<float> lut(m * 256);
-    for (auto& v : lut) v = static_cast<float>(rng.Uniform(0.0, 4.0));
-
-    const double adc_scalar_ns = TimePerItem(n, [&] {
+    const dblsh::PqStore store(
+        std::make_unique<dblsh::FloatMatrix>(n, dim, base), m);
+    std::vector<float> lut;
+    store.PrepareQuery(query.data(), &lut);
+    const uint8_t* codes = store.codes().data();
+    const double adc_loop_ns = TimePerItem(n, [&] {
       float acc = 0.f;
       for (size_t i = 0; i < n; ++i) {
-        acc += scalar.pq_adc(lut.data(),
-                             codes.data() + static_cast<size_t>(ids[i]) * m, m);
+        acc += dblsh::simd::ScalarPqAdc(
+            lut.data(), codes + static_cast<size_t>(ids[i]) * m, m);
       }
       checksum += acc;
     });
+    const double adc_batch_ns = TimePerItem(n, [&] {
+      store.ScoreBatch(lut.data(), 0, ids.data(), n, out.data());
+      checksum += out[0];
+    });
     std::printf("%6zu  %6zu  %18s  %14.2f  %8.2fx\n", dim, n,
-                ("adc m=" + std::to_string(m) + " loop").c_str(),
-                adc_scalar_ns, 1.0);
-    for (const DistanceKernels& table : tables) {
-      const double adc_batch_ns = TimePerItem(n, [&] {
-        table.pq_adc_batch(lut.data(), codes.data(), m, ids.data(), n,
-                           out.data());
-        checksum += out[0];
-      });
-      std::printf("%6zu  %6zu  %14s adc  %14.2f  %8.2fx\n", dim, n,
-                  table.name, adc_batch_ns, adc_scalar_ns / adc_batch_ns);
-    }
+                ("adc m=" + std::to_string(m) + " batch").c_str(),
+                adc_batch_ns, adc_loop_ns / adc_batch_ns);
   }
   // Keep the accumulators alive.
   std::printf("(checksum %g)\n", static_cast<double>(checksum));

@@ -107,7 +107,6 @@
 #include "util/perfmon.h"
 #include "util/random.h"
 #include "util/timer.h"
-#include "util/vecs.h"
 
 namespace dblsh {
 namespace {
@@ -693,37 +692,12 @@ bool IsBvecsPath(const std::string& path) {
          path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
 }
 
-// Writes `count` rows of `dim` floats to `path` in the extension's vecs
-// flavor: fvecs verbatim, bvecs rounded and clamped to [0, 255].
-int WriteVecsRows(const std::string& path, const float* values, size_t count,
-                  size_t dim) {
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  const bool bvecs = IsBvecsPath(path);
-  const int32_t d = static_cast<int32_t>(dim);
-  std::vector<uint8_t> bytes(bvecs ? dim : 0);
-  bool ok = true;
-  for (size_t i = 0; i < count && ok; ++i) {
-    const float* row = values + i * dim;
-    ok = std::fwrite(&d, sizeof(d), 1, out) == 1;
-    if (!ok) break;
-    if (bvecs) {
-      for (size_t j = 0; j < dim; ++j) {
-        const float v = std::nearbyint(row[j]);
-        bytes[j] = static_cast<uint8_t>(v < 0.f ? 0.f : v > 255.f ? 255.f
-                                                                  : v);
-      }
-      ok = std::fwrite(bytes.data(), 1, dim, out) == dim;
-    } else {
-      ok = std::fwrite(row, sizeof(float), dim, out) == dim;
-    }
-  }
-  if (std::fclose(out) != 0) ok = false;
-  if (!ok) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
+// Writes `m` to `path` in the extension's vecs flavor (see SaveBvecs for
+// the u8 conversion).
+int SaveVecs(const FloatMatrix& m, const std::string& path) {
+  const Status s = IsBvecsPath(path) ? SaveBvecs(m, path) : SaveFvecs(m, path);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   return 0;
@@ -739,22 +713,21 @@ int RunDatasetSubset(const Args& args) {
   const std::string out_path = args.Get("out", "");
   const size_t n = static_cast<size_t>(args.GetInt("n", 0));
   if (in_path.empty() || out_path.empty() || n == 0) return Usage();
-  auto data = IsBvecsPath(in_path) ? util::ReadBvecsAsFloat(in_path)
-                                   : util::ReadFvecs(in_path);
+  auto data = IsBvecsPath(in_path) ? LoadBvecs(in_path) : LoadFvecs(in_path);
   if (!data.ok()) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  const util::FvecsData& rows = data.value();
-  if (rows.count() < n) {
+  const FloatMatrix& rows = data.value();
+  if (rows.rows() < n) {
     std::fprintf(stderr,
                  "dataset subset: asked for %zu rows but %s holds %zu\n", n,
-                 in_path.c_str(), rows.count());
+                 in_path.c_str(), rows.rows());
     return 1;
   }
   // Partial Fisher-Yates over the index array: the first n entries are a
   // uniform sample without replacement; sorting keeps file order.
-  std::vector<uint32_t> pick(rows.count());
+  std::vector<uint32_t> pick(rows.rows());
   for (size_t i = 0; i < pick.size(); ++i) {
     pick[i] = static_cast<uint32_t>(i);
   }
@@ -764,16 +737,13 @@ int RunDatasetSubset(const Args& args) {
     std::swap(pick[i], pick[j]);
   }
   std::sort(pick.begin(), pick.begin() + static_cast<ptrdiff_t>(n));
-  std::vector<float> sample(n * rows.dim);
+  FloatMatrix sample;
   for (size_t i = 0; i < n; ++i) {
-    const float* src = rows.values.data() + pick[i] * rows.dim;
-    std::copy(src, src + rows.dim, sample.data() + i * rows.dim);
+    sample.AppendRow(rows.row(pick[i]), rows.cols());
   }
-  if (int rc = WriteVecsRows(out_path, sample.data(), n, rows.dim); rc != 0) {
-    return rc;
-  }
+  if (int rc = SaveVecs(sample, out_path); rc != 0) return rc;
   std::printf("wrote %zu of %zu vectors (dim %zu) from %s to %s\n", n,
-              rows.count(), rows.dim, in_path.c_str(), out_path.c_str());
+              rows.rows(), rows.cols(), in_path.c_str(), out_path.c_str());
   return 0;
 }
 
@@ -800,11 +770,7 @@ int RunDatasetRandset(const Args& args) {
   } else {
     data = GenerateUniform(n, dim, spread, seed);
   }
-  if (int rc = WriteVecsRows(out_path, data.data().data(), data.rows(),
-                             data.cols());
-      rc != 0) {
-    return rc;
-  }
+  if (int rc = SaveVecs(data, out_path); rc != 0) return rc;
   std::printf("wrote %zu x %zu synthetic vectors to %s\n", data.rows(),
               data.cols(), out_path.c_str());
   return 0;

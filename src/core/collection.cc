@@ -1229,11 +1229,19 @@ void Collection::ScheduleCompaction(size_t shard_index) {
 
 void Collection::RunCompaction(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
+  // Ends the task without landing; caller holds the write lock. Commits
+  // that landed after the snapshot saw compact_scheduled set and skipped
+  // the trigger, so when the version moved the check runs again for them
+  // — otherwise a due compaction is lost once the writer goes quiet.
+  uint64_t version = 0;
+  auto give_up_locked = [&] {
+    shard.compact_scheduled = false;
+    if (shard.version != version) MaybeCompactLocked(shard_index);
+  };
   bool landed = false;
   for (int attempt = 0; attempt < 3 && !landed; ++attempt) {
     // 1. Snapshot the shard under the shared lock — readers keep serving.
     FloatMatrix snapshot;
-    uint64_t version = 0;
     std::vector<std::string> method_specs;
     {
       std::shared_lock lock(shard.mutex);
@@ -1248,12 +1256,14 @@ void Collection::RunCompaction(size_t shard_index) {
     // 2. Off-lock: trim the copy and build replacement indexes over the
     //    compacted geometry. Only trailing tombstones are physically
     //    reclaimable (live ids never move).
+    const size_t snapshot_dead = snapshot.rows() - snapshot.live_rows();
     if (snapshot.TrimTombstonedTail() == 0) {
       std::unique_lock lock(shard.mutex);
-      // Interior tombstones only: raise the floor so the trigger stays
-      // quiet until more deletes land, instead of rescheduling forever.
-      shard.compact_floor = shard.data->rows() - shard.data->live_rows();
-      shard.compact_scheduled = false;
+      // Interior tombstones only: raise the floor to what the snapshot
+      // saw so the trigger stays quiet until more deletes land, instead
+      // of rescheduling forever.
+      shard.compact_floor = snapshot_dead;
+      give_up_locked();
       return;
     }
     std::vector<std::unique_ptr<AnnIndex>> replacements;
@@ -1342,10 +1352,9 @@ void Collection::RunCompaction(size_t shard_index) {
     }
   }
   if (!landed) {
-    // The writer mutated through every attempt; the next commit past the
-    // threshold re-triggers (staleness of the dead rows does not decay).
+    // The writer mutated through every attempt.
     std::unique_lock lock(shard.mutex);
-    shard.compact_scheduled = false;
+    give_up_locked();
     return;
   }
   durability_->compactions.fetch_add(1, std::memory_order_relaxed);

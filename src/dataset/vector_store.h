@@ -302,10 +302,10 @@ class Sq8Store final : public VectorStore {
 /// replication rely on (see RetrainQuantizer).
 ///
 /// Scoring: PrepareQuery computes the ADC lookup table — m x 256 squared
-/// sub-distances from the query to every centroid — once per query, in
-/// plain scalar arithmetic so it is identical on every SIMD tier; the
-/// ScoreBatch hot path is then pure table accumulation (simd pq_adc_scan
-/// kernels, bit-identical across tiers). Unlike SQ8 the query side is
+/// sub-distances from the query to every centroid — once per query; the
+/// ScoreBatch hot path is then pure table accumulation through
+/// simd::ScalarPqAdc. Both are plain scalar arithmetic with no SIMD tier,
+/// so PQ scores are identical on every CPU. Unlike SQ8 the query side is
 /// never quantized, so ADC scores are exact on the query side; re-rank
 /// (ExactL2Squared) re-scores against the same reconstruction and exists
 /// for ordering stability under the shared rerank=N machinery.
@@ -318,7 +318,7 @@ class Sq8Store final : public VectorStore {
 class PqStore final : public VectorStore {
  public:
   /// Centroids per subspace (nbits = 8 — the one code width the 1-byte
-  /// layout and the ADC kernels support).
+  /// layout and the ADC kernel support).
   static constexpr size_t kCentroids = 256;
   /// Deterministic training-sample cap: k-means trains on the first
   /// kTrainSample qualifying rows (all seed rows when fewer).

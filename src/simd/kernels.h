@@ -61,31 +61,6 @@ void Sq8ScoreBatchImpl(const float* prep, const float* scale,
   }
 }
 
-/// PQ sibling of Sq8ScoreBatchImpl: one-to-many ADC over m-byte PQ code
-/// rows (row r starts at `codes + r * m`, one byte per subspace), scored
-/// against a per-query lookup table (see ScalarPqAdc for the math and the
-/// canonical summation order). A code row is only m bytes — 16x smaller
-/// than the fp32 row at dim 128 / m 16 — so a single prefetch line covers
-/// several rows; the policy still mirrors the other batch drivers.
-/// `ids == nullptr` means rows 0..n-1.
-template <float (*KernelFn)(const float*, const uint8_t*, size_t)>
-void PqAdcBatchImpl(const float* lut, const uint8_t* codes, size_t m,
-                    const uint32_t* ids, size_t n, float* out) {
-  constexpr size_t kAhead = 4;          // rows of prefetch distance
-  constexpr size_t kMaxPrefetch = 512;  // bytes per row worth fetching ahead
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) {
-      const size_t next = ids ? ids[i + kAhead] : i + kAhead;
-      const char* p = reinterpret_cast<const char*>(codes + next * m);
-      for (size_t off = 0; off < m && off < kMaxPrefetch; off += 64) {
-        __builtin_prefetch(p + off, 0, 3);
-      }
-    }
-    const size_t row = ids ? ids[i] : i;
-    out[i] = KernelFn(lut, codes + row * m, m);
-  }
-}
-
 // Per-ISA raw entry points. Contracts are uniform — no alignment
 // requirement, any dim (tail handled scalar), results match the scalar
 // tier to float rounding — so they are documented once here rather than
@@ -109,12 +84,6 @@ float Sq8L2AsymAvx2(const float* query, const float* offset,
 void Sq8ScoreBatchAvx2(const float* prep, const float* scale,
                        const uint8_t* codes, size_t dim, const uint32_t* ids,
                        size_t n, float* out);
-/// PQ ADC score via 8-lane i32 gathers over the lookup table — lane l is
-/// canonical bin l, so the result is bit-identical to ScalarPqAdc.
-float PqAdcAvx2(const float* lut, const uint8_t* code, size_t m);
-/// One-to-many PQ ADC score (see PqAdcBatchImpl for semantics).
-void PqAdcBatchAvx2(const float* lut, const uint8_t* codes, size_t m,
-                    const uint32_t* ids, size_t n, float* out);
 #endif
 
 #if defined(DBLSH_HAVE_AVX512)
@@ -137,16 +106,6 @@ float Sq8L2AsymAvx512(const float* query, const float* offset,
 void Sq8ScoreBatchAvx512(const float* prep, const float* scale,
                          const uint8_t* codes, size_t dim,
                          const uint32_t* ids, size_t n, float* out);
-/// PQ ADC score, single row. Uses the same 8-lane gather shape as the
-/// AVX2 kernel (-mavx512f implies AVX2 codegen): the canonical 8-bin
-/// summation order pins the accumulator width, so a 16-bin kernel could
-/// not be bit-identical. The 512-bit win is in the batch entry point.
-float PqAdcAvx512(const float* lut, const uint8_t* code, size_t m);
-/// One-to-many PQ ADC: two rows per 512-bit gather (lanes 0-7 = row A's
-/// bins, 8-15 = row B's) — cross-row parallelism never reorders a row's
-/// own sums, so per-row results stay bit-identical to ScalarPqAdc.
-void PqAdcBatchAvx512(const float* lut, const uint8_t* codes, size_t m,
-                      const uint32_t* ids, size_t n, float* out);
 #endif
 
 }  // namespace internal

@@ -176,37 +176,6 @@ void Sq8ScoreBatchAvx2(const float* prep, const float* scale,
   Sq8ScoreBatchImpl<&Sq8ScoreAvx2>(prep, scale, codes, dim, ids, n, out);
 }
 
-float PqAdcAvx2(const float* lut, const uint8_t* code, size_t m) {
-  // One gather per 8 subspaces: widen 8 code bytes to i32, add the lane's
-  // 256-entry sub-table offset, and gather 8 floats from lut + j*256.
-  // Lane l is canonical bin l (terms j == l mod 8 in ascending j); the
-  // tail and the reduce run scalar in the exact ScalarPqAdc order, so the
-  // result is bit-identical to the scalar tier.
-  const __m256i lane_off =
-      _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-  __m256 acc = _mm256_setzero_ps();
-  size_t j = 0;
-  for (; j + 8 <= m; j += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code + j));
-    const __m256i idx =
-        _mm256_add_epi32(_mm256_cvtepu8_epi32(bytes), lane_off);
-    acc = _mm256_add_ps(acc, _mm256_i32gather_ps(lut + j * 256, idx, 4));
-  }
-  float bins[8];
-  _mm256_storeu_ps(bins, acc);
-  for (; j < m; ++j) {
-    bins[j & 7] += lut[j * 256 + code[j]];
-  }
-  return ((bins[0] + bins[4]) + (bins[2] + bins[6])) +
-         ((bins[1] + bins[5]) + (bins[3] + bins[7]));
-}
-
-void PqAdcBatchAvx2(const float* lut, const uint8_t* codes, size_t m,
-                    const uint32_t* ids, size_t n, float* out) {
-  PqAdcBatchImpl<&PqAdcAvx2>(lut, codes, m, ids, n, out);
-}
-
 }  // namespace internal
 }  // namespace simd
 }  // namespace dblsh

@@ -166,83 +166,6 @@ void Sq8ScoreBatchAvx512(const float* prep, const float* scale,
   Sq8ScoreBatchImpl<&Sq8ScoreAvx512>(prep, scale, codes, dim, ids, n, out);
 }
 
-namespace {
-
-/// 8 code bytes -> 8 lut gather indices (lane l = l*256 + code[l]).
-inline __m256i PqIndices8(const uint8_t* code) {
-  const __m256i lane_off =
-      _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-  const __m128i bytes =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code));
-  return _mm256_add_epi32(_mm256_cvtepu8_epi32(bytes), lane_off);
-}
-
-/// The canonical 8-bin reduce (see ScalarPqAdc): tail terms fold into
-/// bins[j mod 8], then the fixed-order horizontal sum.
-inline float PqReduceTail(const float* lut, const uint8_t* code, size_t m,
-                          size_t j, float bins[8]) {
-  for (; j < m; ++j) {
-    bins[j & 7] += lut[j * 256 + code[j]];
-  }
-  return ((bins[0] + bins[4]) + (bins[2] + bins[6])) +
-         ((bins[1] + bins[5]) + (bins[3] + bins[7]));
-}
-
-}  // namespace
-
-float PqAdcAvx512(const float* lut, const uint8_t* code, size_t m) {
-  // 8-lane gathers, same shape as the AVX2 kernel: the canonical 8-bin
-  // summation order (bit-identity across tiers) pins the accumulator
-  // width at 8 lanes for a single row. -mavx512f implies AVX2 codegen,
-  // so the 256-bit gather is available in this TU.
-  __m256 acc = _mm256_setzero_ps();
-  size_t j = 0;
-  for (; j + 8 <= m; j += 8) {
-    acc = _mm256_add_ps(acc,
-                        _mm256_i32gather_ps(lut + j * 256,
-                                            PqIndices8(code + j), 4));
-  }
-  float bins[8];
-  _mm256_storeu_ps(bins, acc);
-  return PqReduceTail(lut, code, m, j, bins);
-}
-
-void PqAdcBatchAvx512(const float* lut, const uint8_t* codes, size_t m,
-                      const uint32_t* ids, size_t n, float* out) {
-  // Two rows per 512-bit gather: lanes 0-7 hold row A's canonical bins,
-  // lanes 8-15 row B's. Cross-row lane packing never reorders a row's own
-  // additions, so each result stays bit-identical to ScalarPqAdc while
-  // the gather ports see twice the work per instruction.
-  constexpr size_t kAhead = 4;          // rows of prefetch distance
-  constexpr size_t kMaxPrefetch = 512;  // bytes per row worth fetching ahead
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    if (i + kAhead < n) {
-      const size_t next = ids ? ids[i + kAhead] : i + kAhead;
-      const char* p = reinterpret_cast<const char*>(codes + next * m);
-      for (size_t off = 0; off < m && off < kMaxPrefetch; off += 64) {
-        __builtin_prefetch(p + off, 0, 3);
-      }
-    }
-    const uint8_t* ca = codes + (ids ? ids[i] : i) * m;
-    const uint8_t* cb = codes + (ids ? ids[i + 1] : i + 1) * m;
-    __m512 acc = _mm512_setzero_ps();
-    size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-      const __m512i idx = _mm512_inserti64x4(
-          _mm512_castsi256_si512(PqIndices8(ca + j)), PqIndices8(cb + j), 1);
-      acc = _mm512_add_ps(acc, _mm512_i32gather_ps(idx, lut + j * 256, 4));
-    }
-    float bins[16];
-    _mm512_storeu_ps(bins, acc);
-    out[i] = PqReduceTail(lut, ca, m, j, bins);
-    out[i + 1] = PqReduceTail(lut, cb, m, j, bins + 8);
-  }
-  if (i < n) {
-    out[i] = PqAdcAvx512(lut, codes + (ids ? ids[i] : i) * m, m);
-  }
-}
-
 }  // namespace internal
 }  // namespace simd
 }  // namespace dblsh

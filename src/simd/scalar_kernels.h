@@ -1,12 +1,13 @@
 #ifndef DBLSH_SIMD_SCALAR_KERNELS_H_
 #define DBLSH_SIMD_SCALAR_KERNELS_H_
 
-// The portable 4-way-unrolled scalar kernels, shared verbatim by the
-// kScalar dispatch tier (simd.cc) and the small-dim inline fast path in
-// util/distance.h. Keeping one definition is what makes "forced scalar is
-// bit-identical to the historical results" a structural guarantee instead
-// of a comment. Header-only and dependency-free on purpose: distance.h
-// includes it, so it must not pull in simd.h or anything heavier.
+// The portable scalar kernels, shared verbatim by the kScalar dispatch
+// tier (simd.cc), the small-dim inline fast path in util/distance.h and
+// PqStore's ADC scan (dataset/vector_store.cc). Keeping one definition is
+// what makes "forced scalar is bit-identical to the historical results" a
+// structural guarantee instead of a comment. Header-only and
+// dependency-free on purpose: distance.h includes it, so it must not pull
+// in simd.h or anything heavier.
 
 #include <cstddef>
 #include <cstdint>
@@ -117,13 +118,13 @@ inline float ScalarSq8L2Asym(const float* query, const float* offset,
 /// contributes one table lookup, no arithmetic on the row side at all
 /// (PqStore::PrepareQuery bakes the squared sub-distances into `lut`).
 ///
-/// Summation order is CANONICAL across every tier, which is what makes
-/// the three tiers bit-identical rather than merely tolerance-close:
-/// 8 bins where bin[l] accumulates the terms j == l (mod 8) in ascending
-/// j, then the fixed reduce ((b0+b4)+(b2+b6)) + ((b1+b5)+(b3+b7)) — the
-/// exact order the AVX2/AVX-512 8-lane gather accumulators produce.
-/// (Deliberately NOT the 4-accumulator pattern of the kernels above: a
-/// gather lane is one bin, and the reduce mirrors the horizontal add.)
+/// PQ has no vector tier (a score is m dependent table loads; AVX2/AVX-512
+/// gather kernels measured 0.6-1.4x this loop at m <= 184), so this is
+/// the one ADC kernel on every CPU and PqStore::ScoreBatch calls it
+/// directly. Its summation order is fixed: 8 bins where bin[l]
+/// accumulates the terms j == l (mod 8) in ascending j, then the reduce
+/// ((b0+b4)+(b2+b6)) + ((b1+b5)+(b3+b7)). Changing it changes PQ scores,
+/// and thus search results, in the last bits.
 inline float ScalarPqAdc(const float* lut, const uint8_t* code, size_t m) {
   float bins[8] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
   size_t j = 0;

@@ -51,19 +51,9 @@ void Sq8ScoreBatchScalar(const float* prep, const float* scale,
                                                      ids, n, out);
 }
 
-float PqAdcScalarKernel(const float* lut, const uint8_t* code, size_t m) {
-  return ScalarPqAdc(lut, code, m);
-}
-
-void PqAdcBatchScalar(const float* lut, const uint8_t* codes, size_t m,
-                      const uint32_t* ids, size_t n, float* out) {
-  internal::PqAdcBatchImpl<&PqAdcScalarKernel>(lut, codes, m, ids, n, out);
-}
-
 constexpr DistanceKernels kScalarKernels = {
     &L2SquaredScalar, &DotScalar, &L2SquaredBatchScalar,
     &Sq8ScoreScalarKernel, &Sq8ScoreBatchScalar, &Sq8L2AsymScalarKernel,
-    &PqAdcScalarKernel, &PqAdcBatchScalar,
     KernelKind::kScalar, "scalar"};
 
 #if defined(DBLSH_HAVE_AVX2)
@@ -71,7 +61,6 @@ constexpr DistanceKernels kAvx2Kernels = {
     &internal::L2SquaredAvx2, &internal::DotAvx2,
     &internal::L2SquaredBatchAvx2, &internal::Sq8ScoreAvx2,
     &internal::Sq8ScoreBatchAvx2, &internal::Sq8L2AsymAvx2,
-    &internal::PqAdcAvx2, &internal::PqAdcBatchAvx2,
     KernelKind::kAvx2, "avx2"};
 #endif
 #if defined(DBLSH_HAVE_AVX512)
@@ -79,7 +68,6 @@ constexpr DistanceKernels kAvx512Kernels = {
     &internal::L2SquaredAvx512, &internal::DotAvx512,
     &internal::L2SquaredBatchAvx512, &internal::Sq8ScoreAvx512,
     &internal::Sq8ScoreBatchAvx512, &internal::Sq8L2AsymAvx512,
-    &internal::PqAdcAvx512, &internal::PqAdcBatchAvx512,
     KernelKind::kAvx512, "avx512"};
 #endif
 

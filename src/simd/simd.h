@@ -61,21 +61,6 @@ struct DistanceKernels {
   float (*sq8_l2_asym)(const float* query, const float* offset,
                        const float* scale, const uint8_t* code, size_t dim);
 
-  /// PQ ADC hot-path score between a per-query lookup table and one
-  /// m-byte code row: sum_j lut[j * 256 + code[j]]. `lut` is the m x 256
-  /// table of squared sub-distances PqStore::PrepareQuery computes once
-  /// per query, so scanning a row is m table adds over m *bytes* — the
-  /// bandwidth/compression win product quantization exists for. All three
-  /// tiers share one canonical summation order (see ScalarPqAdc) and
-  /// return bit-identical floats.
-  float (*pq_adc)(const float* lut, const uint8_t* code, size_t m);
-
-  /// One-to-many pq_adc: out[i] = score of row ids[i] (or row i when
-  /// `ids == nullptr`), where row r's codes start at `codes + r * m`.
-  /// Software-prefetched like the other batch entry points.
-  void (*pq_adc_batch)(const float* lut, const uint8_t* codes, size_t m,
-                       const uint32_t* ids, size_t n, float* out);
-
   KernelKind kind;
   const char* name;
 };

@@ -754,7 +754,9 @@ TEST(ShardedCollectionTest, PrebuiltAdoptionRequiresSingleShard) {
   auto data = EasyDataPtr(200, 16, 5151);
   auto made = IndexFactory::Make("DB-LSH,t=16");
   ASSERT_TRUE(made.ok());
-  Collection c(std::move(data), {.shards = 2});
+  CollectionOptions options;
+  options.shards = 2;
+  Collection c(std::move(data), options);
   EXPECT_EQ(c.AddPrebuiltIndex("adopted", std::move(made).value()).code(),
             StatusCode::kInvalidArgument);
 }
@@ -793,7 +795,9 @@ TEST(ShardedCollectionTest, ExactMethodMatchesSingleShardBitForBit) {
 TEST(ShardedCollectionTest, EmptyAndTinyCollectionsServeAcrossShards) {
   // 8 shards over 3 rows: most shards are empty and must contribute
   // nothing (not errors) to the merge.
-  Collection c(4, {.shards = 8});
+  CollectionOptions options;
+  options.shards = 8;
+  Collection c(4, options);
   ASSERT_TRUE(c.AddIndex("LinearScan").ok());
   QueryRequest request;
   request.k = 5;

@@ -3,6 +3,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "dataset/float_matrix.h"
 #include "dataset/ground_truth.h"
@@ -50,6 +54,35 @@ TEST(FloatMatrixTest, PrefixCopiesLeadingRows) {
 
 // --------------------------------------------------------------------- IO --
 
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Appends one vecs record: `int32 dim` (the component count unless
+/// forged), then the components' bytes.
+template <typename T>
+void AppendRecord(std::vector<uint8_t>* bytes, const std::vector<T>& vec,
+                  std::optional<int32_t> forged_dim = std::nullopt) {
+  const int32_t dim = forged_dim.value_or(static_cast<int32_t>(vec.size()));
+  const auto* d = reinterpret_cast<const uint8_t*>(&dim);
+  bytes->insert(bytes->end(), d, d + sizeof(dim));
+  const auto* p = reinterpret_cast<const uint8_t*>(vec.data());
+  bytes->insert(bytes->end(), p, p + vec.size() * sizeof(T));
+}
+
+void ExpectCorruption(const Result<FloatMatrix>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+}
+
 TEST(IoTest, FvecsRoundTrip) {
   FloatMatrix m(4, 3);
   for (size_t i = 0; i < 4; ++i) {
@@ -64,85 +97,169 @@ TEST(IoTest, FvecsRoundTrip) {
   EXPECT_EQ(loaded.value().rows(), 4u);
   EXPECT_EQ(loaded.value().cols(), 3u);
   EXPECT_FLOAT_EQ(loaded.value().at(2, 1), 21.f);
+
+  // Hand-assembled bytes load exactly, and SaveFvecs writes them back
+  // byte for byte.
+  std::vector<uint8_t> bytes;
+  AppendRecord<float>(&bytes, {1.0f, -2.5f, 3.25f});
+  AppendRecord<float>(&bytes, {4.0f, 5.0f, 6.0f});
+  WriteFile(path, bytes);
+  loaded = LoadFvecs(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().data(),
+            (std::vector<float>{1.0f, -2.5f, 3.25f, 4.0f, 5.0f, 6.0f}));
+  ASSERT_TRUE(SaveFvecs(loaded.value(), path).ok());
+  EXPECT_EQ(ReadFile(path), bytes);
   std::remove(path.c_str());
 }
 
 TEST(IoTest, FvecsMaxRowsTruncates) {
   FloatMatrix m(10, 2);
+  for (size_t i = 0; i < 10; ++i) m.at(i, 0) = static_cast<float>(i);
   const std::string path = TempPath("dblsh_maxrows.fvecs");
   ASSERT_TRUE(SaveFvecs(m, path).ok());
   auto loaded = LoadFvecs(path, 4);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().rows(), 4u);
+  EXPECT_FLOAT_EQ(loaded.value().at(3, 0), 3.f);
   std::remove(path.c_str());
 }
 
 TEST(IoTest, MissingFileIsIoError) {
-  auto r = LoadFvecs("/nonexistent/definitely/missing.fvecs");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  for (const auto& r : {LoadFvecs("/nonexistent/definitely/missing.fvecs"),
+                        LoadBvecs("/nonexistent/definitely/missing.bvecs")}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  }
+  const Status s = SaveBvecs(FloatMatrix(1, 2), "/nonexistent/dir/x.bvecs");
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
 }
 
 TEST(IoTest, TruncatedRecordIsCorruption) {
   const std::string path = TempPath("dblsh_truncated.fvecs");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const int32_t dim = 8;
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    const float partial[3] = {1.f, 2.f, 3.f};  // 8 promised, 3 written
-    out.write(reinterpret_cast<const char*>(partial), sizeof(partial));
-  }
-  auto r = LoadFvecs(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  std::vector<uint8_t> bytes;
+  AppendRecord<float>(&bytes, {1.f, 2.f, 3.f}, 8);  // 8 promised, 3 written
+  WriteFile(path, bytes);
+  ExpectCorruption(LoadFvecs(path));
+
+  // A torn trailing header: one stray byte after a whole record.
+  bytes.clear();
+  AppendRecord<float>(&bytes, {1.f, 2.f});
+  bytes.push_back(0x7);
+  WriteFile(path, bytes);
+  ExpectCorruption(LoadFvecs(path));
+
+  // An empty file holds no records.
+  WriteFile(path, {});
+  ExpectCorruption(LoadFvecs(path));
   std::remove(path.c_str());
 }
 
 TEST(IoTest, NegativeDimensionIsCorruption) {
   const std::string path = TempPath("dblsh_negdim.fvecs");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const int32_t dim = -5;
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  for (const int32_t dim : {-5, 0, (1 << 20) + 1}) {
+    std::vector<uint8_t> bytes;
+    AppendRecord<float>(&bytes, {1.f}, dim);
+    WriteFile(path, bytes);
+    ExpectCorruption(LoadFvecs(path));
   }
-  auto r = LoadFvecs(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(IoTest, InconsistentDimensionsIsCorruption) {
   const std::string path = TempPath("dblsh_mixdim.fvecs");
-  {
-    std::ofstream out(path, std::ios::binary);
-    int32_t dim = 2;
-    const float row2[2] = {1.f, 2.f};
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(row2), sizeof(row2));
-    dim = 3;
-    const float row3[3] = {1.f, 2.f, 3.f};
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(row3), sizeof(row3));
-  }
-  auto r = LoadFvecs(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  std::vector<uint8_t> bytes;
+  AppendRecord<float>(&bytes, {1.f, 2.f});
+  AppendRecord<float>(&bytes, {1.f, 2.f, 3.f});
+  WriteFile(path, bytes);
+  ExpectCorruption(LoadFvecs(path));
   std::remove(path.c_str());
 }
 
 TEST(IoTest, BvecsWidensToFloat) {
   const std::string path = TempPath("dblsh_bytes.bvecs");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const int32_t dim = 4;
-    const uint8_t bytes[4] = {0, 1, 128, 255};
-    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-    out.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
-  }
+  std::vector<uint8_t> bytes;
+  AppendRecord<uint8_t>(&bytes, {0, 127, 255, 7});
+  AppendRecord<uint8_t>(&bytes, {1, 2, 3, 4});
+  WriteFile(path, bytes);
   auto r = LoadBvecs(path);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FLOAT_EQ(r.value().at(0, 3), 255.f);
+  EXPECT_EQ(r.value().data(),
+            (std::vector<float>{0.f, 127.f, 255.f, 7.f, 1.f, 2.f, 3.f, 4.f}));
+  auto first = LoadBvecs(path, 1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().rows(), 1u);
+
+  // SaveBvecs writes the widened rows back byte for byte, and rounds and
+  // clamps components that do not fit a byte.
+  ASSERT_TRUE(SaveBvecs(r.value(), path).ok());
+  EXPECT_EQ(ReadFile(path), bytes);
+  FloatMatrix wide(1, 4, {-3.f, 7.4f, 254.6f, 300.f});
+  ASSERT_TRUE(SaveBvecs(wide, path).ok());
+  r = LoadBvecs(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().data(), (std::vector<float>{0.f, 7.f, 255.f, 255.f}));
   std::remove(path.c_str());
+}
+
+// Fuzz over an on-disk fvecs and bvecs file: every truncation and every
+// bit flip (and full-byte flip) of every record header either loads whole
+// records or fails with Corruption. A cut that is not on a record
+// boundary must never load, and a loaded file is always whole records of
+// the reported dimension, byte for byte (CI runs this under ASan + UBSan).
+TEST(IoTest, TruncationAndHeaderFlipsYieldRowsOrCorruption) {
+  FloatMatrix m(5, 3);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 3; ++j) m.at(i, j) = static_cast<float>(i * 3 + j);
+  }
+  for (const bool bvecs : {false, true}) {
+    SCOPED_TRACE(bvecs ? "bvecs" : "fvecs");
+    const std::string path =
+        TempPath(bvecs ? "dblsh_fuzz.bvecs" : "dblsh_fuzz.fvecs");
+    ASSERT_TRUE((bvecs ? SaveBvecs(m, path) : SaveFvecs(m, path)).ok());
+    const std::vector<uint8_t> good = ReadFile(path);
+    const size_t component = bvecs ? 1 : sizeof(float);
+    const size_t record = sizeof(int32_t) + m.cols() * component;
+    ASSERT_EQ(good.size(), m.rows() * record);
+    auto load = [&](const std::vector<uint8_t>& bytes) {
+      WriteFile(path, bytes);
+      return bvecs ? LoadBvecs(path) : LoadFvecs(path);
+    };
+    for (size_t cut = 0; cut < good.size(); ++cut) {
+      SCOPED_TRACE("cut " + std::to_string(cut));
+      auto r = load({good.begin(), good.begin() + static_cast<ptrdiff_t>(cut)});
+      if (cut == 0 || cut % record != 0) {
+        ExpectCorruption(r);
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value().rows(), cut / record);
+      for (size_t i = 0; i < r.value().rows(); ++i) {
+        for (size_t j = 0; j < m.cols(); ++j) {
+          EXPECT_EQ(r.value().at(i, j), m.at(i, j));
+        }
+      }
+    }
+    for (size_t at = 0; at < good.size(); at += record) {
+      for (size_t b = at; b < at + sizeof(int32_t); ++b) {
+        for (const int mask : {1, 2, 4, 8, 16, 32, 64, 128, 255}) {
+          SCOPED_TRACE("byte " + std::to_string(b) + " mask " +
+                       std::to_string(mask));
+          std::vector<uint8_t> bytes = good;
+          bytes[b] ^= static_cast<uint8_t>(mask);
+          auto r = load(bytes);
+          if (!r.ok()) {
+            ExpectCorruption(r);
+            continue;
+          }
+          EXPECT_EQ(r.value().rows() *
+                        (sizeof(int32_t) + r.value().cols() * component),
+                    bytes.size());
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(IoTest, TextLoader) {

@@ -15,12 +15,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/linear_scan.h"
 #include "core/collection.h"
+#include "core/index_factory.h"
 #include "dataset/float_matrix.h"
 #include "dataset/synthetic.h"
 #include "durability/fail_point.h"
@@ -705,6 +708,80 @@ TEST_F(CompactTest, CompactionDoesNotBlockConcurrentReader) {
   for (const Neighbor& nb : response.value().neighbors) {
     EXPECT_LT(nb.id, 120u);
   }
+}
+
+// LinearScan whose Build runs a test hook first. Compaction builds its
+// replacement indexes off-lock, so the hook can commit deletes at an exact
+// point inside a compaction attempt: a deterministic stand-in for a writer
+// racing the background rewrite.
+class HookedScan : public LinearScan {
+ public:
+  static std::function<void()>& Hook() {
+    static std::function<void()> hook;
+    return hook;
+  }
+  Status Build(const FloatMatrix* data) override {
+    if (Hook()) Hook()();
+    return LinearScan::Build(data);
+  }
+};
+
+// Points the factory's "LinearScan" entry at HookedScan for the guard's
+// lifetime (compaction rebuilds through the factory), then restores
+// plain LinearScan under its original description.
+class ScopedHookedScan {
+ public:
+  ScopedHookedScan() { Register<HookedScan>(); }
+  ~ScopedHookedScan() {
+    HookedScan::Hook() = nullptr;
+    Register<LinearScan>();
+  }
+
+ private:
+  template <typename T>
+  void Register() {
+    IndexFactory::Register(
+        "LinearScan", description_,
+        [](const IndexFactory::Spec& spec)
+            -> Result<std::unique_ptr<AnnIndex>> {
+          DBLSH_RETURN_IF_ERROR(SpecReader(spec).Finish());
+          return std::unique_ptr<AnnIndex>(std::make_unique<T>());
+        });
+  }
+  const std::string description_ =
+      IndexFactory::Describe("LinearScan").value();
+};
+
+// Regression: a writer that mutates through all three attempts makes the
+// compaction give up. The deletes it committed meanwhile skipped the
+// trigger (a compaction was still scheduled), so unless giving up re-runs
+// the check, a due compaction is lost for good once the writer goes quiet.
+TEST_F(CompactTest, DeletesDuringEveryAttemptStillCompactOnceQuiet) {
+  ScopedHookedScan hooked;
+  TempDir dir("compact_giveup");
+  FloatMatrix data = GenerateClustered({.n = 200, .dim = 8, .clusters = 4});
+  auto made = Collection::FromSpec(
+      DurableSpec(dir.path(), ",compact_threshold=0.3"),
+      std::make_unique<FloatMatrix>(std::move(data)));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Collection& c = *made.value();
+
+  // Each of the first three replacement builds deletes one more row, just
+  // below the trimmable tail, so every attempt finds the shard mutated.
+  uint32_t next = 139;
+  HookedScan::Hook() = [&] {
+    if (next >= 137) {
+      ASSERT_TRUE(c.Delete(next--).ok());
+    }
+  };
+  // 60 of 200 rows dead crosses the 0.3 threshold on the last delete.
+  for (uint32_t id = 140; id < 200; ++id) ASSERT_TRUE(c.Delete(id).ok());
+  c.WaitForRebuilds();
+  HookedScan::Hook() = nullptr;
+
+  EXPECT_EQ(next, 136u);
+  EXPECT_EQ(c.Durability().compactions, 1u);
+  EXPECT_EQ(c.Snapshot().rows(), 137u);
 }
 
 // --------------------------------------------- randomized crash harness ---

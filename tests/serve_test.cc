@@ -32,6 +32,13 @@ namespace {
 
 using Clock = Coalescer::Clock;
 
+/// A plain top-k request (every other field at its default).
+QueryRequest TopK(size_t k) {
+  QueryRequest request;
+  request.k = k;
+  return request;
+}
+
 FloatMatrix SmallData(size_t n = 200, size_t dim = 8) {
   return GenerateClustered({.n = n, .dim = dim, .clusters = 5, .seed = 99});
 }
@@ -200,7 +207,7 @@ class CoalescerTest : public ::testing::Test {
 
 TEST_F(CoalescerTest, CoalescesConcurrentSubmitsIntoOneBatch) {
   auto coalescer = Make({.window_us = 50000, .max_batch = 32});
-  QueryRequest request{.k = 5};
+  QueryRequest request = TopK(5);
   std::atomic<int> done{0};
   std::mutex mu;
   std::vector<uint32_t> batch_sizes;
@@ -261,7 +268,7 @@ TEST_F(CoalescerTest, IncompatibleRequestsDoNotShareBatches) {
   std::atomic<int> done{0};
   for (const size_t k : {size_t{3}, size_t{5}}) {
     ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(), QueryRequest{.k = k},
+                    ->Submit(collection_.get(), Query(), TopK(k),
                              Clock::time_point::max(),
                              [&, k](const Status& s, QueryResponse r,
                                     uint32_t batch_size) {
@@ -387,7 +394,7 @@ TEST_F(CoalescerTest, SubmitBatchDispatchesWithoutWindowHold) {
     const auto q = Query(i);
     std::copy(q.begin(), q.end(), queries.mutable_row(i));
   }
-  QueryRequest request{.k = 3};
+  QueryRequest request = TopK(3);
   std::atomic<int> done{0};
   const auto t0 = Clock::now();
   ASSERT_TRUE(coalescer
@@ -458,7 +465,7 @@ TEST_F(ServeServerTest, PingAndSearchRoundTrip) {
   auto client = MakeClient();
   ASSERT_TRUE(client->Ping().ok());
 
-  QueryRequest request{.k = 5};
+  QueryRequest request = TopK(5);
   const auto q = Query(3);
   auto reply = client->Search("main", q.data(), q.size(), request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -479,10 +486,10 @@ TEST_F(ServeServerTest, SearchBatchUpsertDeleteStatsRoundTrip) {
     const auto q = Query(i);
     std::copy(q.begin(), q.end(), queries.mutable_row(i));
   }
-  auto batch = client->SearchBatch("main", queries, QueryRequest{.k = 4});
+  auto batch = client->SearchBatch("main", queries, TopK(4));
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch.value().size(), 3u);
-  auto direct = collection_->SearchBatch(queries, QueryRequest{.k = 4});
+  auto direct = collection_->SearchBatch(queries, TopK(4));
   ASSERT_TRUE(direct.ok());
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(SameIds(batch.value()[i].neighbors,
@@ -494,7 +501,7 @@ TEST_F(ServeServerTest, SearchBatchUpsertDeleteStatsRoundTrip) {
   auto id = client->Upsert("main", outlier.data(), outlier.size());
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   auto found =
-      client->Search("main", outlier.data(), outlier.size(), {.k = 1});
+      client->Search("main", outlier.data(), outlier.size(), TopK(1));
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found.value().response.neighbors.size(), 1u);
   EXPECT_EQ(found.value().response.neighbors[0].id, id.value());
@@ -534,7 +541,7 @@ TEST_F(ServeServerTest, PipelinedSearchesCoalesceIntoBatches) {
   StartServer(options);
   auto client = MakeClient();
 
-  QueryRequest request{.k = 5};
+  QueryRequest request = TopK(5);
   std::vector<uint64_t> ids;
   for (int i = 0; i < 8; ++i) {
     const auto q = Query(i);
@@ -830,7 +837,7 @@ TEST_F(ServeServerTest, MidFrameDisconnectLeavesPeersUnaffected) {
   dying.reset();  // gone before its coalesced batch dispatches
 
   auto client = MakeClient();
-  auto reply = client->Search("main", q.data(), q.size(), {.k = 3});
+  auto reply = client->Search("main", q.data(), q.size(), TopK(3));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply.value().response.neighbors.size(), 3u);
   EXPECT_GE(server_->Stats().protocol_errors, 1u);

@@ -9,6 +9,8 @@
 #include "core/index_factory.h"
 #include "core/verify.h"
 #include "dataset/synthetic.h"
+#include "dataset/vector_store.h"
+#include "simd/scalar_kernels.h"
 #include "simd/simd.h"
 #include "util/random.h"
 
@@ -246,12 +248,9 @@ double ReferencePqAdc(const float* lut, const uint8_t* code, size_t m) {
   return acc;
 }
 
-// The PQ ADC kernel across every runnable tier, odd subspace counts
-// (scalar tails after the 8-wide gather loop) and unaligned LUT pointers,
-// against a double-precision reference. Additionally every tier must
-// return the *bit-identical* float: the three implementations share one
-// canonical 8-bin summation order precisely so PQ search results cannot
-// depend on the host's instruction set.
+// PQ ADC has one scalar kernel on every CPU (no dispatch tier; the test
+// names predate that). It must match a double-precision reference across
+// odd subspace counts (the 8-bin loop's tails) and unaligned LUT pointers.
 TEST_F(SimdKernelTest, PqAdcTiersMatchDoubleReferenceAndEachOther) {
   const size_t ms[] = {1, 3, 5, 7, 8, 9, 16, 17, 31, 64};
   Rng rng(20260809);
@@ -261,66 +260,52 @@ TEST_F(SimdKernelTest, PqAdcTiersMatchDoubleReferenceAndEachOther) {
     for (auto& v : lut_buf) v = static_cast<float>(rng.Gaussian());
     for (auto& v : code_buf) v = static_cast<uint8_t>(rng.UniformInt(256));
     for (const size_t offset : {size_t{0}, size_t{1}}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   " offset=" + std::to_string(offset));
       const float* lut = lut_buf.data() + offset;
       const uint8_t* code = code_buf.data() + offset;
       const double ref = ReferencePqAdc(lut, code, m);
       const double tol = 1e-5 * std::max(1.0, static_cast<double>(m));
-      float first = 0.f;
-      bool have_first = false;
-      for (const KernelKind kind : SupportedKinds()) {
-        SCOPED_TRACE(std::string(simd::KernelName(kind)) +
-                     " m=" + std::to_string(m) +
-                     " offset=" + std::to_string(offset));
-        ASSERT_TRUE(simd::ForceKernel(kind).ok());
-        const float got = simd::Active().pq_adc(lut, code, m);
-        EXPECT_NEAR(got, ref, tol * std::max(1.0, std::abs(ref)));
-        if (!have_first) {
-          first = got;
-          have_first = true;
-        } else {
-          EXPECT_EQ(got, first);  // bit-identical across tiers
-        }
-      }
+      EXPECT_NEAR(simd::ScalarPqAdc(lut, code, m), ref,
+                  tol * std::max(1.0, std::abs(ref)));
     }
   }
 }
 
-// pq_adc_batch must agree bit-for-bit with n calls of the same tier's
-// pq_adc, for both the id-list and the contiguous (ids == nullptr) forms
-// — including odd n (the AVX-512 batch processes rows in pairs).
+// PqStore::ScoreBatch (the prefetching batch loop) must agree bit-for-bit
+// with one ScalarPqAdc call per row, for both the id-list and the
+// contiguous (ids == nullptr, offset by `start`) forms, at odd n.
 TEST_F(SimdKernelTest, PqAdcBatchMatchesOneToOnePerTier) {
   const size_t ms[] = {1, 3, 8, 16, 17, 64};
-  const size_t n = 57;  // odd: exercises the 2-row batch's tail
+  const size_t n = 57;
   Rng rng(424242);
   for (const size_t m : ms) {
-    std::vector<float> lut(m * 256);
-    std::vector<uint8_t> codes(n * m);
-    for (auto& v : lut) v = static_cast<float>(rng.Gaussian());
-    for (auto& v : codes) v = static_cast<uint8_t>(rng.UniformInt(256));
+    SCOPED_TRACE("m=" + std::to_string(m));
+    auto data = std::make_unique<FloatMatrix>(n + 3, m * 2);
+    for (auto& v : data->mutable_data()) {
+      v = static_cast<float>(rng.Gaussian());
+    }
+    const PqStore store(std::move(data), m);
+    std::vector<float> query(m * 2);
+    for (auto& v : query) v = static_cast<float>(rng.Gaussian());
+    std::vector<float> lut;
+    store.PrepareQuery(query.data(), &lut);
+    const uint8_t* codes = store.codes().data();
     std::vector<uint32_t> ids(n);
     for (size_t i = 0; i < n; ++i) {
-      ids[i] = static_cast<uint32_t>((i * 13) % n);  // shuffled, in-range
+      ids[i] = static_cast<uint32_t>((i * 13) % (n + 3));  // shuffled
     }
-    for (const KernelKind kind : SupportedKinds()) {
-      SCOPED_TRACE(std::string(simd::KernelName(kind)) +
-                   " m=" + std::to_string(m));
-      ASSERT_TRUE(simd::ForceKernel(kind).ok());
-      const auto& kernels = simd::Active();
-      std::vector<float> out(n, -1.f);
-      kernels.pq_adc_batch(lut.data(), codes.data(), m, ids.data(), n,
-                           out.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i],
-                  kernels.pq_adc(lut.data(), codes.data() + ids[i] * m, m))
-            << "id " << ids[i];
-      }
-      kernels.pq_adc_batch(lut.data(), codes.data(), m, nullptr, n,
-                           out.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i],
-                  kernels.pq_adc(lut.data(), codes.data() + i * m, m))
-            << "row " << i;
-      }
+    std::vector<float> out(n, -1.f);
+    store.ScoreBatch(lut.data(), 0, ids.data(), n, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], simd::ScalarPqAdc(lut.data(), codes + ids[i] * m, m))
+          << "id " << ids[i];
+    }
+    store.ScoreBatch(lut.data(), 3, nullptr, n, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i],
+                simd::ScalarPqAdc(lut.data(), codes + (i + 3) * m, m))
+          << "row " << i + 3;
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "dataset/vector_store.h"
+#include "durability/format.h"
 #include "eval/metrics.h"
 #include "simd/simd.h"
 #include "util/distance.h"
@@ -747,6 +748,54 @@ TEST(PqRecallTest, WithinOracleAtRerank8) {
   const double recall = recall_sum / double(nq);
   EXPECT_GE(recall, 0.95) << "pq recall dropped below the LinearScan "
                              "oracle contract";
+}
+
+// Pins PQ output bit for bit: the ids and float distances of a fixed-seed
+// storage=pq LinearScan collection (ADC over the contiguous code array),
+// plus raw PqStore::ScoreBatch scores over an odd-length id list, folded
+// into one FNV-1a digest. Everything behind these numbers is plain scalar
+// arithmetic on uniform inputs (no libm calls but sqrt): k-means, the ADC
+// table, the fixed-order ADC sum and the centroid re-rank, so the digest
+// is the same on every CPU. It was recorded while AVX2/AVX-512 ADC kernels
+// still existed, and pins that the scalar-only ADC changed no bit.
+TEST(PqStoreTest, SearchDigestIsPinned) {
+  const size_t dim = 24;
+  const FloatMatrix data = RandomMatrix(3000, dim, 4242, 30.0);
+  // m = 10 over dim 24: ragged subspaces and a 2-subspace ADC tail.
+  auto made = Collection::FromSpec(
+      "collection,storage=pq,m=10,rerank=4: LinearScan,name=scan",
+      std::make_unique<FloatMatrix>(data));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  PqStore store(std::make_unique<FloatMatrix>(data), 10);
+
+  uint64_t digest = durability::Fnv1a64(nullptr, 0);
+  auto fold = [&digest](const void* bytes, size_t len) {
+    digest = durability::Fnv1a64(static_cast<const uint8_t*>(bytes), len,
+                                 digest);
+  };
+  Rng rng(77);
+  std::vector<float> query(dim);
+  std::vector<float> prep;
+  std::vector<uint32_t> ids(101);
+  std::vector<float> scores(ids.size());
+  for (size_t q = 0; q < 25; ++q) {
+    for (float& x : query) x = static_cast<float>(rng.Uniform(-30.0, 30.0));
+    QueryRequest request;
+    request.k = 10;
+    auto got = made.value()->Search(query.data(), request, "scan");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (const Neighbor& nb : got.value().neighbors) {
+      fold(&nb.id, sizeof(nb.id));
+      fold(&nb.dist, sizeof(nb.dist));
+    }
+    store.PrepareQuery(query.data(), &prep);
+    for (uint32_t& id : ids) {
+      id = static_cast<uint32_t>(rng.UniformInt(data.rows()));
+    }
+    store.ScoreBatch(prep.data(), 0, ids.data(), ids.size(), scores.data());
+    fold(scores.data(), scores.size() * sizeof(float));
+  }
+  EXPECT_EQ(digest, 0xd68b066548bba4c4ull) << std::hex << digest;
 }
 
 }  // namespace

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,7 +11,6 @@
 #include "util/status.h"
 #include "util/timer.h"
 #include "util/top_k_heap.h"
-#include "util/vecs.h"
 
 namespace dblsh {
 namespace {
@@ -252,228 +246,6 @@ TEST(TopKHeapTest, FullHeapReplacementUsesIdTieBreak) {
   result = heap3.TakeSorted();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 2u);
-}
-
-// ------------------------------------------------------------------ vecs --
-
-// Scratch file holding hand-assembled vecs bytes, removed on destruction.
-class VecsFile {
- public:
-  explicit VecsFile(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("dblsh_vecs_" + tag + "_" + std::to_string(::getpid())))
-                .string();
-  }
-  ~VecsFile() {
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
-  void Write(const std::vector<uint8_t>& bytes) const {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-
- private:
-  std::string path_;
-};
-
-void AppendI32(std::vector<uint8_t>* bytes, int32_t v) {
-  const auto* p = reinterpret_cast<const uint8_t*>(&v);
-  bytes->insert(bytes->end(), p, p + sizeof(v));
-}
-
-template <typename T>
-void AppendVector(std::vector<uint8_t>* bytes, const std::vector<T>& vec) {
-  AppendI32(bytes, static_cast<int32_t>(vec.size()));
-  const auto* p = reinterpret_cast<const uint8_t*>(vec.data());
-  bytes->insert(bytes->end(), p, p + vec.size() * sizeof(T));
-}
-
-TEST(VecsTest, FvecsRoundTrips) {
-  VecsFile file("fvecs");
-  std::vector<uint8_t> bytes;
-  AppendVector<float>(&bytes, {1.0f, -2.5f, 3.25f});
-  AppendVector<float>(&bytes, {4.0f, 5.0f, 6.0f});
-  file.Write(bytes);
-
-  auto read = util::ReadFvecs(file.path());
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().dim, 3u);
-  ASSERT_EQ(read.value().count(), 2u);
-  EXPECT_FLOAT_EQ(read.value().values[1], -2.5f);
-  EXPECT_FLOAT_EQ(read.value().values[5], 6.0f);
-}
-
-TEST(VecsTest, BvecsAndIvecsRoundTrip) {
-  VecsFile bfile("bvecs");
-  std::vector<uint8_t> bytes;
-  AppendVector<uint8_t>(&bytes, {0, 127, 255, 7});
-  bfile.Write(bytes);
-  auto b = util::ReadBvecs(bfile.path());
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(b.value().dim, 4u);
-  ASSERT_EQ(b.value().count(), 1u);
-  EXPECT_EQ(b.value().values[2], 255);
-
-  VecsFile ifile("ivecs");
-  bytes.clear();
-  AppendVector<int32_t>(&bytes, {42, -1});
-  ifile.Write(bytes);
-  auto i = util::ReadIvecs(ifile.path());
-  ASSERT_TRUE(i.ok()) << i.status().ToString();
-  EXPECT_EQ(i.value().dim, 2u);
-  ASSERT_EQ(i.value().count(), 1u);
-  EXPECT_EQ(i.value().values[0], 42);
-  EXPECT_EQ(i.value().values[1], -1);
-}
-
-TEST(VecsTest, MaxVectorsTruncatesTheScan) {
-  VecsFile file("fvecs_max");
-  std::vector<uint8_t> bytes;
-  for (int v = 0; v < 5; ++v) {
-    AppendVector<float>(&bytes, {static_cast<float>(v), 0.f});
-  }
-  file.Write(bytes);
-
-  auto read = util::ReadFvecs(file.path(), 3);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().count(), 3u);
-  EXPECT_FLOAT_EQ(read.value().values[4], 2.0f);
-}
-
-TEST(VecsTest, MissingFileIsIoError) {
-  auto read = util::ReadFvecs("/nonexistent/no_such.fvecs");
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
-}
-
-TEST(VecsTest, RejectsCorruptFiles) {
-  // Truncated payload: header promises 3 floats, body holds 2.
-  VecsFile truncated("trunc");
-  std::vector<uint8_t> bytes;
-  AppendI32(&bytes, 3);
-  AppendI32(&bytes, 0);  // 4 bytes of payload (one float), then EOF
-  AppendI32(&bytes, 0);
-  truncated.Write(bytes);
-  auto read = util::ReadFvecs(truncated.path());
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-
-  // Non-positive dimension.
-  VecsFile nonpositive("nonpos");
-  bytes.clear();
-  AppendI32(&bytes, -4);
-  nonpositive.Write(bytes);
-  read = util::ReadFvecs(nonpositive.path());
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-
-  // Inconsistent dimension between vectors.
-  VecsFile inconsistent("baddim");
-  bytes.clear();
-  AppendVector<float>(&bytes, {1.f, 2.f});
-  AppendVector<float>(&bytes, {1.f, 2.f, 3.f});
-  inconsistent.Write(bytes);
-  read = util::ReadFvecs(inconsistent.path());
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-
-  // Truncated header: a lone stray byte where the next int32 should be.
-  VecsFile torn("torn");
-  bytes.clear();
-  AppendVector<float>(&bytes, {1.f, 2.f});
-  bytes.push_back(0x7);
-  torn.Write(bytes);
-  read = util::ReadFvecs(torn.path());
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-}
-
-TEST(VecsTest, BvecsAsFloatWidensComponents) {
-  VecsFile file("bvecs_f");
-  std::vector<uint8_t> bytes;
-  AppendVector<uint8_t>(&bytes, {0, 127, 255, 7});
-  AppendVector<uint8_t>(&bytes, {1, 2, 3, 4});
-  file.Write(bytes);
-  auto read = util::ReadBvecsAsFloat(file.path());
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().dim, 4u);
-  ASSERT_EQ(read.value().count(), 2u);
-  EXPECT_EQ(read.value().values[1], 127.0f);
-  EXPECT_EQ(read.value().values[2], 255.0f);
-  EXPECT_EQ(read.value().values[7], 4.0f);
-  // max_vectors truncates like the typed readers.
-  auto first = util::ReadBvecsAsFloat(file.path(), 1);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value().count(), 1u);
-}
-
-TEST(VecsTest, StreamingVisitsRowsInOrder) {
-  VecsFile ffile("stream_f");
-  std::vector<uint8_t> bytes;
-  for (int v = 0; v < 5; ++v) {
-    AppendVector<float>(&bytes, {static_cast<float>(v), -1.f});
-  }
-  ffile.Write(bytes);
-  std::vector<float> seen;
-  std::vector<size_t> indexes;
-  auto visited = util::StreamFvecs(
-      ffile.path(), [&](size_t index, const float* row, size_t dim) {
-        ASSERT_EQ(dim, 2u);
-        indexes.push_back(index);
-        seen.push_back(row[0]);
-      });
-  ASSERT_TRUE(visited.ok()) << visited.status().ToString();
-  EXPECT_EQ(visited.value(), 5u);
-  EXPECT_EQ(indexes, (std::vector<size_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(seen, (std::vector<float>{0.f, 1.f, 2.f, 3.f, 4.f}));
-
-  // max_vectors stops the scan early.
-  size_t count = 0;
-  auto limited = util::StreamFvecs(
-      ffile.path(), [&](size_t, const float*, size_t) { ++count; }, 2);
-  ASSERT_TRUE(limited.ok());
-  EXPECT_EQ(limited.value(), 2u);
-  EXPECT_EQ(count, 2u);
-
-  VecsFile bfile("stream_b");
-  bytes.clear();
-  AppendVector<uint8_t>(&bytes, {9, 200});
-  AppendVector<uint8_t>(&bytes, {0, 255});
-  bfile.Write(bytes);
-  seen.clear();
-  auto widened = util::StreamBvecsAsFloat(
-      bfile.path(), [&](size_t, const float* row, size_t dim) {
-        seen.insert(seen.end(), row, row + dim);
-      });
-  ASSERT_TRUE(widened.ok()) << widened.status().ToString();
-  EXPECT_EQ(widened.value(), 2u);
-  EXPECT_EQ(seen, (std::vector<float>{9.f, 200.f, 0.f, 255.f}));
-}
-
-TEST(VecsTest, StreamingReportsTypedErrorsAfterVisitedPrefix) {
-  auto missing = util::StreamFvecs("/nonexistent/no_such.fvecs",
-                                   [](size_t, const float*, size_t) {});
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
-
-  // One good vector, then a truncated payload: the visitor sees the good
-  // prefix and the scan fails with Corruption.
-  VecsFile torn("stream_torn");
-  std::vector<uint8_t> bytes;
-  AppendVector<float>(&bytes, {1.f, 2.f});
-  AppendI32(&bytes, 2);
-  AppendI32(&bytes, 0);  // half of the promised payload, then EOF
-  torn.Write(bytes);
-  size_t visited = 0;
-  auto read = util::StreamFvecs(
-      torn.path(), [&](size_t, const float*, size_t) { ++visited; });
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(visited, 1u);
 }
 
 // ----------------------------------------------------------------- Timer --
