@@ -70,9 +70,6 @@ int main(int argc, char** argv) {
   if (dblsh::simd::Supported(KernelKind::kAvx2)) {
     tiers.push_back(KernelKind::kAvx2);
   }
-  if (dblsh::simd::Supported(KernelKind::kAvx512)) {
-    tiers.push_back(KernelKind::kAvx512);
-  }
 
   // Grab each tier's dispatch table once; "scalar loop" below always means
   // per-candidate calls of the scalar one-to-one kernel.

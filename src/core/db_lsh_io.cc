@@ -25,6 +25,7 @@
 // instead of silently serving wrong neighbors. Tombstones are re-applied
 // to the caller's dataset on load, restoring the free-list in its
 // original order so InsertRow keeps recycling deterministically.
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -77,6 +78,43 @@ bool ReadPod(std::ifstream& in, T* value) {
       in.read(reinterpret_cast<char*>(value), sizeof(T)));
 }
 
+/// Bytes between the read position and the end of the file. Every length
+/// field is checked against it before anything is allocated, so a flipped
+/// bit in a count fails as Corruption instead of a huge allocation.
+uint64_t BytesLeft(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
+}
+
+/// True when `count` items of `item_bytes` each fit in the rest of the file.
+bool FitsInFile(std::ifstream& in, uint64_t count, uint64_t item_bytes) {
+  return count <= BytesLeft(in) / item_bytes;
+}
+
+/// Reads `count` floats, rejecting a short read and any NaN/inf: a saved
+/// index never holds one, and the trees and grids built from these values
+/// assume ordered, finite coordinates.
+Status ReadFloats(std::ifstream& in, uint64_t count, const std::string& what,
+                  std::vector<float>* out) {
+  if (!FitsInFile(in, count, sizeof(float))) {
+    return Status::Corruption(what + " truncated");
+  }
+  out->resize(count);
+  if (!in.read(reinterpret_cast<char*>(out->data()),
+               static_cast<std::streamsize>(count * sizeof(float)))) {
+    return Status::Corruption(what + " truncated");
+  }
+  for (const float v : *out) {
+    if (!std::isfinite(v)) {
+      return Status::Corruption(what + " holds a non-finite value");
+    }
+  }
+  return Status::OK();
+}
+
 void WriteMatrix(std::ofstream& out, const FloatMatrix& m) {
   WritePod<uint64_t>(out, m.rows());
   WritePod<uint64_t>(out, m.cols());
@@ -89,15 +127,12 @@ Result<FloatMatrix> ReadMatrix(std::ifstream& in, const std::string& what) {
   if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) {
     return Status::Corruption("truncated " + what + " header");
   }
-  if (rows == 0 || cols == 0 || rows > (1ULL << 40) / (cols + 1)) {
+  uint64_t count = 0;
+  if (rows == 0 || cols == 0 || __builtin_mul_overflow(rows, cols, &count)) {
     return Status::Corruption("implausible " + what + " shape");
   }
-  std::vector<float> values(rows * cols);
-  if (!in.read(reinterpret_cast<char*>(values.data()),
-               static_cast<std::streamsize>(values.size() *
-                                            sizeof(float)))) {
-    return Status::Corruption("truncated " + what + " payload");
-  }
+  std::vector<float> values;
+  DBLSH_RETURN_IF_ERROR(ReadFloats(in, count, what + " payload", &values));
   return FloatMatrix(rows, cols, std::move(values));
 }
 
@@ -151,14 +186,10 @@ Status ReadStorageHeader(std::ifstream& in, const std::string& path,
     if (header->dim == 0 || header->dim > (1ULL << 24)) {
       return Status::Corruption(path + ": implausible dimensionality");
     }
-    header->scale.resize(header->dim);
-    header->offset.resize(header->dim);
-    const std::streamsize bytes =
-        static_cast<std::streamsize>(header->dim * sizeof(float));
-    if (!in.read(reinterpret_cast<char*>(header->scale.data()), bytes) ||
-        !in.read(reinterpret_cast<char*>(header->offset.data()), bytes)) {
-      return Status::Corruption(path + ": truncated quantization parameters");
-    }
+    DBLSH_RETURN_IF_ERROR(ReadFloats(
+        in, header->dim, path + ": quantization scales", &header->scale));
+    DBLSH_RETURN_IF_ERROR(ReadFloats(
+        in, header->dim, path + ": quantization offsets", &header->offset));
   } else if (header->storage == StorageKind::kPq) {
     if (header->dim == 0 || header->dim > (1ULL << 24)) {
       return Status::Corruption(path + ": implausible dimensionality");
@@ -167,12 +198,9 @@ Status ReadStorageHeader(std::ifstream& in, const std::string& path,
         header->pq_m > header->dim) {
       return Status::Corruption(path + ": invalid pq subspace count");
     }
-    header->codebooks.resize(256 * header->dim);
-    if (!in.read(reinterpret_cast<char*>(header->codebooks.data()),
-                 static_cast<std::streamsize>(header->codebooks.size() *
-                                              sizeof(float)))) {
-      return Status::Corruption(path + ": truncated pq codebooks");
-    }
+    DBLSH_RETURN_IF_ERROR(ReadFloats(in, 256 * header->dim,
+                                     path + ": pq codebooks",
+                                     &header->codebooks));
   }
   return Status::OK();
 }
@@ -265,27 +293,33 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
   params.seed = seed;
   params.bucketing = static_cast<BucketingMode>(bucketing);
   params.backend = static_cast<IndexBackend>(backend);
-  if (params.l == 0 || params.k == 0 || params.c <= 1.0 ||
-      params.w0 <= 0.0) {
+  // NaN slips through `c <= 1.0`-style checks, so non-finite values are
+  // rejected outright; l * k must not wrap.
+  const bool finite = std::isfinite(params.c) && std::isfinite(params.w0) &&
+                      std::isfinite(auto_r0);
+  uint64_t projections = 0;
+  if (!finite || !(params.c > 1.0) || !(params.w0 > 0.0) ||
+      !(auto_r0 > 0.0) || !(params.early_stop_slack >= 1.0) || l == 0 ||
+      k == 0 || __builtin_mul_overflow(l, k, &projections) ||
+      bucketing > static_cast<uint8_t>(BucketingMode::kFixedGrid) ||
+      backend > static_cast<uint8_t>(IndexBackend::kKdTree)) {
     return Status::Corruption(path + ": invalid stored parameters");
   }
 
   auto directions = ReadMatrix(in, "projection directions");
   if (!directions.ok()) return directions.status();
-  if (directions.value().rows() != params.l * params.k ||
+  if (directions.value().rows() != projections ||
       directions.value().cols() != dim) {
     return Status::Corruption(path + ": direction matrix shape mismatch");
   }
 
   uint64_t offset_count = 0;
-  if (!ReadPod(in, &offset_count) || offset_count != params.l * params.k) {
+  if (!ReadPod(in, &offset_count) || offset_count != projections) {
     return Status::Corruption(path + ": grid offset count mismatch");
   }
-  std::vector<float> grid_offsets(offset_count);
-  if (!in.read(reinterpret_cast<char*>(grid_offsets.data()),
-               static_cast<std::streamsize>(offset_count * sizeof(float)))) {
-    return Status::Corruption(path + ": truncated grid offsets");
-  }
+  std::vector<float> grid_offsets;
+  DBLSH_RETURN_IF_ERROR(
+      ReadFloats(in, offset_count, path + ": grid offsets", &grid_offsets));
 
   DbLsh index(params);
   index.data_ = data;
@@ -303,7 +337,8 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
     index.projected_.push_back(std::move(space).value());
   }
   uint64_t tombstone_count = 0;
-  if (!ReadPod(in, &tombstone_count) || tombstone_count > n) {
+  if (!ReadPod(in, &tombstone_count) || tombstone_count > n ||
+      !FitsInFile(in, tombstone_count, sizeof(uint32_t))) {
     return Status::Corruption(path + ": truncated/implausible tombstones");
   }
   std::vector<uint32_t> tombstones(tombstone_count);
@@ -313,11 +348,15 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
                                             sizeof(uint32_t)))) {
     return Status::Corruption(path + ": truncated tombstone ids");
   }
+  // Every id is checked before any is applied: a Corruption return must
+  // leave the caller's dataset untouched.
+  for (uint32_t id : tombstones) {
+    if (id >= n) return Status::Corruption(path + ": tombstone id range");
+  }
   // Re-apply in erasure order so the dataset's free-list stack matches the
   // saved state exactly (InsertRow recycles the same slots in the same
   // order as it would have before the save).
   for (uint32_t id : tombstones) {
-    if (id >= n) return Status::Corruption(path + ": tombstone id range");
     if (!data->IsDeleted(id)) {
       DBLSH_RETURN_IF_ERROR(store != nullptr ? store->EraseRow(id)
                                              : data->EraseRow(id));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -158,6 +159,12 @@ void SpecReader::Key(const std::string& key, double* out) {
   const double value = std::strtod(raw->c_str(), &end);
   if (end == raw->c_str() || *end != '\0') {
     RecordError(key, "a number");
+    return;
+  }
+  // strtod accepts "nan"/"inf", and NaN passes every `x <= bound` range
+  // check a builder makes; no spec value is meaningful non-finite.
+  if (!std::isfinite(value)) {
+    RecordError(key, "a finite number");
     return;
   }
   *out = value;

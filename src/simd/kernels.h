@@ -1,8 +1,8 @@
 #ifndef DBLSH_SIMD_KERNELS_H_
 #define DBLSH_SIMD_KERNELS_H_
 
-// Internal: raw kernel entry points implemented in the per-ISA translation
-// units (l2_avx2.cc, l2_avx512.cc). Only simd.cc should include this; user
+// Internal: raw kernel entry points implemented in the vector-tier
+// translation unit (l2_avx2.cc). Only simd.cc should include this; user
 // code goes through simd::Active().
 
 #include <cstddef>
@@ -12,10 +12,11 @@ namespace dblsh {
 namespace simd {
 namespace internal {
 
-/// Shared one-to-many driver: instantiated inside each per-ISA translation
-/// unit with that tier's one-to-one kernel, so the prefetch policy and the
-/// ids-vs-contiguous row logic exist exactly once while still compiling
-/// under each tier's flags. `ids == nullptr` means rows 0..n-1.
+/// Shared one-to-many driver: instantiated by each tier (simd.cc for
+/// scalar, l2_avx2.cc for AVX2) with that tier's one-to-one kernel, so the
+/// prefetch policy and the ids-vs-contiguous row logic exist exactly once
+/// while still compiling under each tier's flags. `ids == nullptr` means
+/// rows 0..n-1.
 template <float (*KernelFn)(const float*, const float*, size_t)>
 void L2SquaredBatchImpl(const float* query, const float* base, size_t dim,
                         const uint32_t* ids, size_t n, float* out) {
@@ -61,7 +62,7 @@ void Sq8ScoreBatchImpl(const float* prep, const float* scale,
   }
 }
 
-// Per-ISA raw entry points. Contracts are uniform — no alignment
+// AVX2+FMA raw entry points. Contracts are uniform — no alignment
 // requirement, any dim (tail handled scalar), results match the scalar
 // tier to float rounding — so they are documented once here rather than
 // per prototype. Call only after CPUID says the tier is supported (the
@@ -84,28 +85,6 @@ float Sq8L2AsymAvx2(const float* query, const float* offset,
 void Sq8ScoreBatchAvx2(const float* prep, const float* scale,
                        const uint8_t* codes, size_t dim, const uint32_t* ids,
                        size_t n, float* out);
-#endif
-
-#if defined(DBLSH_HAVE_AVX512)
-/// ||a - b||^2 with 16-lane masked-tail accumulation.
-float L2SquaredAvx512(const float* a, const float* b, size_t dim);
-/// <a, b> with 16-lane masked-tail accumulation.
-float DotAvx512(const float* a, const float* b, size_t dim);
-/// One-to-many ||query - row||^2 (see L2SquaredBatchImpl for semantics).
-void L2SquaredBatchAvx512(const float* query, const float* base, size_t dim,
-                          const uint32_t* ids, size_t n, float* out);
-/// SQ8 prepared-query vs u8-row score (see ScalarSq8Score), 16 lanes.
-/// The u8 tail is scalar: masked byte loads need AVX-512BW, which this
-/// binary does not require (only -mavx512f is compiled).
-float Sq8ScoreAvx512(const float* prep, const float* scale,
-                     const uint8_t* code, size_t dim);
-/// SQ8 exact re-rank distance (see ScalarSq8L2Asym), 16 lanes.
-float Sq8L2AsymAvx512(const float* query, const float* offset,
-                      const float* scale, const uint8_t* code, size_t dim);
-/// One-to-many SQ8 score (see Sq8ScoreBatchImpl for semantics).
-void Sq8ScoreBatchAvx512(const float* prep, const float* scale,
-                         const uint8_t* codes, size_t dim,
-                         const uint32_t* ids, size_t n, float* out);
 #endif
 
 }  // namespace internal

@@ -63,13 +63,6 @@ constexpr DistanceKernels kAvx2Kernels = {
     &internal::Sq8ScoreBatchAvx2, &internal::Sq8L2AsymAvx2,
     KernelKind::kAvx2, "avx2"};
 #endif
-#if defined(DBLSH_HAVE_AVX512)
-constexpr DistanceKernels kAvx512Kernels = {
-    &internal::L2SquaredAvx512, &internal::DotAvx512,
-    &internal::L2SquaredBatchAvx512, &internal::Sq8ScoreAvx512,
-    &internal::Sq8ScoreBatchAvx512, &internal::Sq8L2AsymAvx512,
-    KernelKind::kAvx512, "avx512"};
-#endif
 
 // ----------------------------------------------------------- dispatch ----
 
@@ -83,22 +76,12 @@ bool CpuSupports(KernelKind kind) {
 #else
       return false;
 #endif
-    case KernelKind::kAvx512:
-#if defined(DBLSH_HAVE_AVX512) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx512f");
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 const DistanceKernels* TableFor(KernelKind kind) {
   switch (kind) {
-#if defined(DBLSH_HAVE_AVX512)
-    case KernelKind::kAvx512:
-      return &kAvx512Kernels;
-#endif
 #if defined(DBLSH_HAVE_AVX2)
     case KernelKind::kAvx2:
       return &kAvx2Kernels;
@@ -115,10 +98,9 @@ const DistanceKernels* TableFor(KernelKind kind) {
 const DistanceKernels* Detect() {
   if (const char* env = std::getenv("DBLSH_SIMD")) {
     const std::string v(env);
-    if (v == "scalar" || v == "avx2" || v == "avx512") {
-      const KernelKind forced = v == "scalar"   ? KernelKind::kScalar
-                                : v == "avx2"   ? KernelKind::kAvx2
-                                                : KernelKind::kAvx512;
+    if (v == "scalar" || v == "avx2") {
+      const KernelKind forced =
+          v == "scalar" ? KernelKind::kScalar : KernelKind::kAvx2;
       if (CpuSupports(forced)) return TableFor(forced);
       std::fprintf(stderr,
                    "dblsh: DBLSH_SIMD=%s is not available on this "
@@ -127,11 +109,10 @@ const DistanceKernels* Detect() {
     } else if (v != "auto") {
       std::fprintf(stderr,
                    "dblsh: unrecognized DBLSH_SIMD=\"%s\" (expected scalar"
-                   " | avx2 | avx512 | auto); using auto selection\n",
+                   " | avx2 | auto); using auto selection\n",
                    env);
     }
   }
-  if (CpuSupports(KernelKind::kAvx512)) return TableFor(KernelKind::kAvx512);
   if (CpuSupports(KernelKind::kAvx2)) return TableFor(KernelKind::kAvx2);
   return TableFor(KernelKind::kScalar);
 }
@@ -179,8 +160,6 @@ const char* KernelName(KernelKind kind) {
       return "scalar";
     case KernelKind::kAvx2:
       return "avx2";
-    case KernelKind::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

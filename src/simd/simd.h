@@ -9,15 +9,15 @@
 namespace dblsh {
 namespace simd {
 
-/// The instruction-set tiers a distance kernel can be compiled for. Which
-/// tiers exist in the binary is a compile-time fact (per-TU -mavx2 /
-/// -mavx512f, see CMakeLists); which tier runs is decided once at startup
-/// from CPUID and can be overridden via ForceKernel() or the DBLSH_SIMD
-/// environment variable (scalar | avx2 | avx512 | auto).
+/// The instruction-set tiers a distance kernel can be compiled for: the
+/// scalar reference, always present, and one vector tier, AVX2+FMA.
+/// Whether the AVX2 tier exists in the binary is a compile-time fact (its
+/// TU alone gets -mavx2 -mfma, see CMakeLists); which tier runs is decided
+/// once at startup from CPUID and can be overridden via ForceKernel() or
+/// the DBLSH_SIMD environment variable (scalar | avx2 | auto).
 enum class KernelKind : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
 /// One dispatch table entry: every member computes over `dim`-length float
@@ -89,7 +89,8 @@ Status ForceKernel(KernelKind kind);
 /// pinning).
 void UseAutoKernel();
 
-/// Human-readable tier name ("scalar", "avx2", "avx512").
+/// Human-readable tier name ("scalar", "avx2"; "unknown" for any other
+/// value).
 const char* KernelName(KernelKind kind);
 
 }  // namespace simd

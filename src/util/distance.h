@@ -10,7 +10,7 @@
 namespace dblsh {
 
 // These wrappers forward to the runtime-dispatched kernel subsystem
-// (src/simd/) so every existing call site picks up AVX2/AVX-512 without
+// (src/simd/) so every existing call site picks up AVX2 without
 // source changes. Batch verification should use the one-to-many entry
 // points in core/verify.h instead of looping over these.
 //
@@ -19,7 +19,7 @@ namespace dblsh {
 // itself, so short vectors — the kd-tree/projected-space hot loops, whose
 // configured dimensionality is m ~ 6-12 for every method here — keep the
 // historical inline 4-way unrolled loop, which the scalar kernel tier
-// reproduces bit-for-bit. From one full vector register (16 floats) up,
+// reproduces bit-for-bit. From 16 floats (two 8-lane AVX2 registers) up,
 // the SIMD kernels win despite the call overhead.
 inline constexpr size_t kSimdDispatchMinDim = 16;
 

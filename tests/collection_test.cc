@@ -745,8 +745,12 @@ TEST(ShardedCollectionTest, SpecParsesShardAndRebuildOptions) {
   for (const char* spec :
        {"collection,shards=0: LinearScan", "collection,shards=x: LinearScan",
         "collection,rebuild=sometimes: LinearScan",
-        "collection,no_such_option=1: LinearScan"}) {
-    EXPECT_FALSE(Collection::FromSpec(spec, EasyDataPtr(50)).ok()) << spec;
+        "collection,no_such_option=1: LinearScan",
+        "collection,compact_threshold=nan: LinearScan",
+        "collection: DB-LSH,c=nan"}) {
+    EXPECT_EQ(Collection::FromSpec(spec, EasyDataPtr(50)).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
   }
 }
 

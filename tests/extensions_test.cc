@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "baselines/e2lsh.h"
 #include "baselines/multiprobe_lsh.h"
@@ -176,6 +179,82 @@ TEST(PersistenceTest, LoadRejectsTruncatedFile) {
   auto r = DbLsh::Load(path, &data);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// Fuzz over a saved index with tombstones: every truncation and every
+// single-bit flip either loads or fails with a typed Status — never an
+// abort or a huge allocation — and a failed load leaves the caller's
+// dataset untouched. Flips in the dataset-identity header fields (storage
+// tag, n, dim, checksum) name another dataset and fail with
+// InvalidArgument, as in LoadRejectsWrongDataset; every other failure is
+// Corruption. Small on purpose: CI runs it under ASan + UBSan.
+TEST(PersistenceTest, TruncationAndBitFlipsYieldIndexOrCorruption) {
+  FloatMatrix data = EasyData(40, 4);
+  DbLshParams params;
+  params.l = 2;
+  params.k = 2;
+  DbLsh index(params);
+  ASSERT_TRUE(index.Build(&data).ok());
+  for (const uint32_t id : {31u, 3u, 17u}) {
+    ASSERT_TRUE(data.EraseRow(id).ok());
+    ASSERT_TRUE(index.Erase(id).ok());
+  }
+  const std::string path = TempPath("dblsh_fuzz.idx");
+  ASSERT_TRUE(index.Save(path).ok());
+  std::vector<char> good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // magic (8) + version (4), then tag (1) + n, dim, checksum (8 each).
+  constexpr size_t kIdentityBegin = 12, kIdentityEnd = 37;
+  ASSERT_GT(good.size(), kIdentityEnd);
+
+  // A fresh copy of the dataset as re-read from disk: no tombstones.
+  const FloatMatrix pristine(data.rows(), data.cols(), data.data());
+  auto load = [&] {
+    FloatMatrix copy = pristine;
+    const Status status = DbLsh::Load(path, &copy).status();
+    if (!status.ok()) {
+      EXPECT_EQ(copy.data(), pristine.data());
+      EXPECT_EQ(copy.live_rows(), pristine.rows());
+      EXPECT_TRUE(copy.free_slots().empty());
+    }
+    return status;
+  };
+
+  {
+    FloatMatrix copy = pristine;
+    ASSERT_TRUE(DbLsh::Load(path, &copy).ok());
+    EXPECT_EQ(copy.free_slots(), data.free_slots());
+  }
+  // The file is edited in place (one byte rewritten, then shrunk): that
+  // is far cheaper than rewriting it per case.
+  auto poke = [&](size_t at, char value) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(at));
+    file.put(value);
+  };
+  for (size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      poke(byte, static_cast<char>(good[byte] ^ (1 << bit)));
+      const Status status = load();
+      poke(byte, good[byte]);
+      if (status.ok()) continue;
+      const bool identity = byte >= kIdentityBegin && byte < kIdentityEnd;
+      if (identity && status.code() == StatusCode::kInvalidArgument) continue;
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    }
+  }
+  for (size_t cut = good.size(); cut-- > 0;) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    std::filesystem::resize_file(path, cut);
+    const Status status = load();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  }
   std::remove(path.c_str());
 }
 

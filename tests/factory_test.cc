@@ -133,6 +133,8 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
            "DB-LSH,c=",           // empty value
            "DB-LSH,c=1.5,c=2.0",  // duplicate key
            "DB-LSH,c=abc",        // unparsable double
+           "DB-LSH,c=nan",        // non-finite: NaN passes `c <= 1`
+           "DB-LSH,w0=inf",       // non-finite
            "DB-LSH,l=-3",         // negative for unsigned
            "DB-LSH,zzz=1",        // unknown key
            "DB-LSH,bucketing=diagonal",  // unknown enum token

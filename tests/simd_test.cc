@@ -23,9 +23,6 @@ using simd::KernelKind;
 std::vector<KernelKind> SupportedKinds() {
   std::vector<KernelKind> kinds = {KernelKind::kScalar};
   if (simd::Supported(KernelKind::kAvx2)) kinds.push_back(KernelKind::kAvx2);
-  if (simd::Supported(KernelKind::kAvx512)) {
-    kinds.push_back(KernelKind::kAvx512);
-  }
   return kinds;
 }
 
@@ -54,8 +51,8 @@ double ReferenceDot(const float* a, const float* b, size_t dim) {
 }
 
 // Property test: every compiled-and-runnable dispatch tier agrees with a
-// double-precision reference on odd dimensions (scalar tails, masked
-// AVX-512 tails) and on unaligned pointers (all loads are loadu).
+// double-precision reference on odd dimensions (scalar tails) and on
+// unaligned pointers (all loads are loadu).
 TEST_F(SimdKernelTest, AllTiersMatchDoubleReferenceAcrossDimsAndAlignment) {
   const size_t dims[] = {1, 3, 7, 17, 100, 960};
   Rng rng(20260731);
@@ -312,9 +309,11 @@ TEST_F(SimdKernelTest, PqAdcBatchMatchesOneToOnePerTier) {
 
 TEST_F(SimdKernelTest, ForceKernelRejectsUnavailableTiers) {
   EXPECT_TRUE(simd::ForceKernel(KernelKind::kScalar).ok());
-  if (!simd::Supported(KernelKind::kAvx512)) {
-    EXPECT_FALSE(simd::ForceKernel(KernelKind::kAvx512).ok());
-  }
+  // Value 2 was the AVX-512 tier; it is no tier now, so the rejection
+  // branch runs on every CPU and must leave the forced tier in place.
+  const Status s = simd::ForceKernel(static_cast<KernelKind>(2));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(simd::Active().kind, KernelKind::kScalar);
   simd::UseAutoKernel();
   EXPECT_TRUE(simd::Supported(simd::Active().kind));
 }
