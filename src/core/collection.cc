@@ -353,7 +353,6 @@ Status Collection::RecoverShards(const CollectionOptions& options,
   durability_->wal_sync_every = options.wal_sync;
   durability_->wals.resize(shards_.size());
 
-  uint64_t max_lsn = manifest.checkpoint_lsn;
   uint64_t max_seq = manifest.wal_seq;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -416,8 +415,7 @@ Status Collection::RecoverShards(const CollectionOptions& options,
       shard.store = std::make_unique<Fp32Store>(std::move(matrix));
     }
     shard.data = &shard.store->matrix();
-    max_lsn = std::max(max_lsn, snap.lsn);
-    shard.applied_lsn = snap.lsn;
+    CommitLocked(shard, snap.lsn);  // the snapshot is the shard's base commit
 
     // Replay the log: every segment at/after the manifest's generation,
     // ascending, skipping records the snapshot already covers.
@@ -445,75 +443,12 @@ Status Collection::RecoverShards(const CollectionOptions& options,
       }
       for (const durability::WalRecord& rec : replay.records) {
         if (rec.lsn <= snap.lsn) continue;
-        max_lsn = std::max(max_lsn, rec.lsn);
-        shard.applied_lsn = std::max(shard.applied_lsn, rec.lsn);
         ++durability_->replayed;
-        switch (rec.op) {
-          case durability::WalOp::kRetrain: {
-            // Deterministic params-from-codes retrain: replays to the
-            // exact byte state the primary (or pre-crash process) had.
-            shard.store->RetrainQuantizer();
-            break;
-          }
-          case durability::WalOp::kTrim: {
-            const size_t trimmed = shard.store->TrimTombstonedTail();
-            if (trimmed != rec.id) {
-              return Status::Corruption(
-                  "durability: wal replay divergence on shard " +
-                  std::to_string(s) + ": trim removed " +
-                  std::to_string(trimmed) + " rows, log recorded " +
-                  std::to_string(rec.id));
-            }
-            break;
-          }
-          case durability::WalOp::kDelete: {
-            if (ShardOfId(rec.id) != s) {
-              return Status::Corruption(
-                  "durability: wal record for id " + std::to_string(rec.id) +
-                  " found in shard " + std::to_string(s) + "'s log");
-            }
-            if (Status st = shard.store->EraseRow(LocalOfId(rec.id));
-                !st.ok()) {
-              return Status::Corruption(
-                  "durability: wal replay divergence on shard " +
-                  std::to_string(s) + ": " + st.ToString());
-            }
-            break;
-          }
-          case durability::WalOp::kUpsert: {
-            if (ShardOfId(rec.id) != s) {
-              return Status::Corruption(
-                  "durability: wal record for id " + std::to_string(rec.id) +
-                  " found in shard " + std::to_string(s) + "'s log");
-            }
-            const uint32_t local = LocalOfId(rec.id);
-            if (local < shard.data->rows() && !shard.data->IsDeleted(local)) {
-              // In-place replace: erase + insert fused, exactly like
-              // Upsert(id) — the LIFO free-list hands the slot back.
-              if (Status st = shard.store->EraseRow(local); !st.ok()) {
-                return Status::Corruption(
-                    "durability: wal replay divergence on shard " +
-                    std::to_string(s) + ": " + st.ToString());
-              }
-            }
-            const uint32_t got = shard.store->InsertRow(rec.vec.data(), dim_);
-            if (got != local) {
-              return Status::Corruption(
-                  "durability: wal replay divergence on shard " +
-                  std::to_string(s) + ": insert landed on local row " +
-                  std::to_string(got) + ", log recorded " +
-                  std::to_string(local));
-            }
-            break;
-          }
-        }
+        DBLSH_RETURN_IF_ERROR(ApplyRecordLocked(s, rec));
+        CommitLocked(shard, rec.lsn);
       }
     }
-    shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
-    shard.approx_free.store(shard.data->free_slots().size(),
-                            std::memory_order_relaxed);
   }
-  epoch_.store(max_lsn, std::memory_order_release);
   // Start the new generation past every segment on disk — including
   // orphans a crashed rotation left above the manifest's generation.
   durability_->wal_seq = max_seq;
@@ -695,14 +630,40 @@ Status Collection::ApplyReplicatedRecord(size_t shard_index,
                            std::to_string(rec.lsn));
   }
 
+  DBLSH_RETURN_IF_ERROR(ApplyRecordLocked(shard_index, rec));
+  CommitLocked(shard, rec.lsn);
+  // The follower's own WAL carries the primary's LSN, so a restart
+  // recovers locally and re-subscribes from exactly where it stopped.
+  const Status logged = AppendWalLocked(
+      shard_index, rec.lsn, rec.op, rec.id,
+      rec.op == durability::WalOp::kUpsert ? rec.vec.data() : nullptr);
+  MaybeRebuildLocked(shard_index);
+  return logged;
+}
+
+Status Collection::ApplyRecordLocked(size_t shard_index,
+                                     const durability::WalRecord& rec) {
+  Shard& shard = *shards_[shard_index];
+  auto diverged = [&](const std::string& what) {
+    return Status::Corruption("shard " + std::to_string(shard_index) +
+                              " diverges from its log at lsn " +
+                              std::to_string(rec.lsn) + ": " + what);
+  };
   switch (rec.op) {
+    case durability::WalOp::kRetrain:
+      // Deterministic params-from-codes retrain: reproduces the exact code
+      // bytes the primary logged. The codes changed under every built
+      // index; force the rebuild the primary ran in the same commit.
+      shard.store->RetrainQuantizer();
+      for (Slot& slot : shard.slots) {
+        if (slot.built) slot.staleness = slot.rebuild_threshold;
+      }
+      return Status::OK();
     case durability::WalOp::kTrim: {
       const size_t trimmed = shard.store->TrimTombstonedTail();
       if (trimmed != rec.id) {
-        return Status::Corruption(
-            "replication: divergence on shard " + std::to_string(shard_index) +
-            ": trim removed " + std::to_string(trimmed) +
-            " rows, primary recorded " + std::to_string(rec.id));
+        return diverged("trim removed " + std::to_string(trimmed) +
+                        " rows, log recorded " + std::to_string(rec.id));
       }
       // The trim and the index rebuilds share this critical section, like
       // RunCompaction on the primary: an index still referencing a trimmed
@@ -711,106 +672,57 @@ Status Collection::ApplyReplicatedRecord(size_t shard_index,
       for (Slot& slot : shard.slots) {
         if (!slot.built) continue;
         if (shard.data->live_rows() == 0) {
-          slot.built = false;
+          slot.built = false;  // lazy build at the next mutation
           slot.staleness = 0;
           continue;
         }
-        if (quantized_ && !view.has_value()) view.emplace(shard.store.get());
-        if (Status s = slot.index->Build(shard.data); !s.ok()) {
-          slot.built = false;
-          slot.build_error = s.ToString();
-        } else {
-          ++slot.rebuilds;
-          slot.staleness = 0;
-          slot.build_error.clear();
-        }
+        BuildSlotLocked(shard, slot, &view);
       }
-      break;
+      return Status::OK();
     }
-    case durability::WalOp::kRetrain: {
-      shard.store->RetrainQuantizer();
-      // The codes changed under every built index; force the rebuild the
-      // primary ran in the same commit (MaybeRebuildLocked below).
-      for (Slot& slot : shard.slots) {
-        if (slot.built) slot.staleness = slot.rebuild_threshold;
-      }
+    case durability::WalOp::kDelete:
+    case durability::WalOp::kUpsert:
       break;
+    default:
+      return diverged("unknown op " +
+                      std::to_string(static_cast<unsigned>(rec.op)));
+  }
+  if (ShardOfId(rec.id) != shard_index) {
+    return diverged("id " + std::to_string(rec.id) + " belongs to shard " +
+                    std::to_string(ShardOfId(rec.id)));
+  }
+  const uint32_t local = LocalOfId(rec.id);
+  if (rec.op == durability::WalOp::kDelete) {
+    if (Status st = EraseRowLocked(shard, local); !st.ok()) {
+      return diverged(st.ToString());
     }
-    case durability::WalOp::kDelete: {
-      if (ShardOfId(rec.id) != shard_index) {
-        return Status::Corruption(
-            "replication: record for id " + std::to_string(rec.id) +
-            " shipped to shard " + std::to_string(shard_index));
-      }
-      const uint32_t local = LocalOfId(rec.id);
-      if (Status st = shard.store->EraseRow(local); !st.ok()) {
-        return Status::Corruption("replication: divergence on shard " +
-                                  std::to_string(shard_index) + ": " +
-                                  st.ToString());
-      }
-      if (!quantized_) {
-        for (Slot& slot : shard.slots) {
-          if (!slot.built || !slot.index->SupportsUpdates()) continue;
-          if (Status s = slot.index->Erase(local); !s.ok()) {
-            slot.staleness = slot.rebuild_threshold;  // self-heal via rebuild
-          }
-        }
-      }
-      break;
-    }
-    case durability::WalOp::kUpsert: {
-      if (ShardOfId(rec.id) != shard_index) {
-        return Status::Corruption(
-            "replication: record for id " + std::to_string(rec.id) +
-            " shipped to shard " + std::to_string(shard_index));
-      }
-      if (rec.vec.size() != dim_) {
-        return Status::Corruption(
-            "replication: upsert payload has " +
-            std::to_string(rec.vec.size()) + " floats, collection serves " +
-            std::to_string(dim_));
-      }
-      const uint32_t local = LocalOfId(rec.id);
-      if (local < shard.data->rows() && !shard.data->IsDeleted(local)) {
-        // In-place replace: erase + insert fused, exactly like Upsert(id)
-        // — the LIFO free-list hands the slot straight back.
-        if (Status st = shard.store->EraseRow(local); !st.ok()) {
-          return Status::Corruption("replication: divergence on shard " +
-                                    std::to_string(shard_index) + ": " +
-                                    st.ToString());
-        }
-        if (!quantized_) {
-          for (Slot& slot : shard.slots) {
-            if (!slot.built || !slot.index->SupportsUpdates()) continue;
-            if (Status s = slot.index->Erase(local); !s.ok()) {
-              slot.staleness = slot.rebuild_threshold;
-            }
-          }
-        }
-      }
-      const uint32_t got = shard.store->InsertRow(rec.vec.data(), dim_);
-      if (got != local) {
-        return Status::Corruption(
-            "replication: divergence on shard " + std::to_string(shard_index) +
-            ": insert landed on local row " + std::to_string(got) +
-            ", primary recorded " + std::to_string(local));
-      }
-      if (!quantized_) {
-        for (Slot& slot : shard.slots) {
-          if (!slot.built || !slot.index->SupportsUpdates()) continue;
-          if (slot.staleness >= slot.rebuild_threshold) continue;
-          if (Status s = slot.index->Insert(got); !s.ok()) {
-            slot.staleness = slot.rebuild_threshold;
-          }
-        }
-      }
-      break;
+    return Status::OK();
+  }
+  if (rec.vec.size() != dim_) {
+    return diverged("upsert payload has " + std::to_string(rec.vec.size()) +
+                    " floats, collection serves " + std::to_string(dim_));
+  }
+  if (local < shard.data->rows() && !shard.data->IsDeleted(local)) {
+    // In-place replace: erase + insert fused, exactly like Upsert(id) —
+    // the LIFO free-list hands the slot straight back.
+    if (Status st = EraseRowLocked(shard, local); !st.ok()) {
+      return diverged(st.ToString());
     }
   }
+  const uint32_t got = InsertRowLocked(shard, rec.vec.data());
+  if (got != local) {
+    return diverged("insert landed on local row " + std::to_string(got) +
+                    ", log recorded " + std::to_string(local));
+  }
+  return Status::OK();
+}
 
-  // Commit bookkeeping, mirroring CommitMutationLocked except that the LSN
-  // comes from the primary instead of the local epoch counter.
+void Collection::CommitLocked(Shard& shard, uint64_t lsn) {
   for (Slot& slot : shard.slots) {
+    // Updatable built slots absorbed the mutation structurally
+    // (InsertRowLocked / EraseRowLocked); everyone else just got staler.
+    // Under quantized storage every slot is static — in-place index
+    // maintenance reads fp32 rows the store has released — so all age.
     if (quantized_ || !(slot.built && slot.index->SupportsUpdates())) {
       ++slot.staleness;
     }
@@ -819,34 +731,95 @@ Status Collection::ApplyReplicatedRecord(size_t shard_index,
   shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
   shard.approx_free.store(shard.data->free_slots().size(),
                           std::memory_order_relaxed);
-  shard.applied_lsn = rec.lsn;
+  shard.applied_lsn = lsn;
+  // A primary's LSN came from the epoch counter itself (no-op here);
+  // replay and replication raise the counter to the logged LSN.
   uint64_t cur = epoch_.load(std::memory_order_relaxed);
-  while (cur < rec.lsn &&
-         !epoch_.compare_exchange_weak(cur, rec.lsn,
-                                       std::memory_order_acq_rel)) {
+  while (cur < lsn &&
+         !epoch_.compare_exchange_weak(cur, lsn, std::memory_order_acq_rel)) {
   }
+}
 
-  Status logged = Status::OK();
-  if (durability_ != nullptr) {
-    durability::WalWriter* writer = durability_->wals[shard_index].get();
-    if (writer == nullptr) {
-      logged = Status::IoError(
-          "wal: no live segment for shard " + std::to_string(shard_index) +
-          " (a failed checkpoint rotation poisoned this collection)");
-    } else {
-      // The follower's own WAL carries the primary's LSN, so a restart
-      // recovers locally and re-subscribes from exactly where it stopped.
-      logged = writer->Append(rec.lsn, rec.op, rec.id,
-                              rec.op == durability::WalOp::kUpsert
-                                  ? rec.vec.data()
-                                  : nullptr);
-      if (logged.ok()) {
-        durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
-      }
+Status Collection::AppendWalLocked(size_t shard_index, uint64_t lsn,
+                                   durability::WalOp op, uint32_t id,
+                                   const float* vec) {
+  if (durability_ == nullptr) return Status::OK();
+  durability::WalWriter* writer = durability_->wals[shard_index].get();
+  if (writer == nullptr) {
+    return Status::IoError(
+        "wal: no live segment for shard " + std::to_string(shard_index) +
+        " (a failed checkpoint rotation poisoned this collection)");
+  }
+  DBLSH_RETURN_IF_ERROR(writer->Append(lsn, op, id, vec));
+  durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status Collection::EraseRowLocked(Shard& shard, uint32_t local) {
+  DBLSH_RETURN_IF_ERROR(shard.store->EraseRow(local));
+  // In-place index maintenance is fp32-only (quantized slots are static
+  // and rebuild from the decode view when staleness hits the threshold).
+  if (quantized_) return Status::OK();
+  for (Slot& slot : shard.slots) {
+    if (!slot.built || !slot.index->SupportsUpdates()) continue;
+    if (!slot.index->Erase(local).ok()) {
+      // Self-heal: a structural failure leaves that one index incoherent;
+      // forcing its staleness to the threshold makes the commit rebuild it
+      // over the live rows without unwinding the committed dataset state.
+      slot.staleness = slot.rebuild_threshold;
     }
   }
-  MaybeRebuildLocked(shard_index);
-  return logged;
+  return Status::OK();
+}
+
+uint32_t Collection::InsertRowLocked(Shard& shard, const float* vec) {
+  const uint32_t local = shard.store->InsertRow(vec, dim_);
+  if (quantized_) return local;
+  for (Slot& slot : shard.slots) {
+    if (!slot.built || !slot.index->SupportsUpdates()) continue;
+    if (slot.staleness >= slot.rebuild_threshold) continue;  // rebuilding
+    if (!slot.index->Insert(local).ok()) {
+      slot.staleness = slot.rebuild_threshold;  // self-heal, as above
+    }
+  }
+  return local;
+}
+
+void Collection::BuildSlotLocked(Shard& shard, Slot& slot,
+                                 std::optional<ScopedDecodeView>* view) {
+  // Quantized storage: the first build of a pass materializes the decoded
+  // fp32 view, later builds in the pass reuse it, and the caller's
+  // optional releases it when the pass ends.
+  if (quantized_ && !view->has_value()) view->emplace(shard.store.get());
+  if (Status s = slot.index->Build(shard.data); !s.ok()) {
+    // A failed (re)build leaves the slot out of service but the
+    // collection consistent: mark unbuilt so routing skips it, record the
+    // error for Indexes(), and retry at the next mutation. The mutation
+    // that got us here stays committed.
+    slot.built = false;
+    slot.build_error = s.ToString();
+    return;
+  }
+  if (slot.built) ++slot.rebuilds;  // lazy first builds are not rebuilds
+  slot.built = true;
+  slot.staleness = 0;
+  slot.build_error.clear();
+}
+
+void Collection::SwapInLocked(Shard& shard, Slot& slot,
+                              std::unique_ptr<AnnIndex> replacement) {
+  if (!replacement->RebindData(shard.data).ok()) {
+    // Index type without rebind support: rebuild the slot's own instance
+    // under the lock instead (correct, just blocking).
+    std::optional<ScopedDecodeView> view;
+    BuildSlotLocked(shard, slot, &view);
+    return;
+  }
+  slot.index = std::move(replacement);
+  slot.built = true;
+  slot.staleness = 0;
+  ++slot.rebuilds;
+  slot.build_error.clear();
 }
 
 Status Collection::AddIndex(const std::string& index_spec) {
@@ -971,11 +944,7 @@ Status Collection::AddPrebuiltIndex(const std::string& name,
 
 void Collection::MaybeRebuildLocked(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  // Quantized storage: the first inline build of this pass materializes a
-  // decoded fp32 view, every later build in the pass reuses it, and the
-  // optional's destructor releases it on exit (no-op construction when no
-  // slot builds).
-  std::optional<ScopedDecodeView> view;
+  std::optional<ScopedDecodeView> view;  // one decode view per pass
   for (size_t i = 0; i < shard.slots.size(); ++i) {
     Slot& slot = shard.slots[i];
     const bool lazy_first_build = !slot.built && shard.data->live_rows() > 0;
@@ -992,20 +961,7 @@ void Collection::MaybeRebuildLocked(size_t shard_index) {
       }
       continue;
     }
-    if (quantized_ && !view.has_value()) view.emplace(shard.store.get());
-    if (Status s = slot.index->Build(shard.data); !s.ok()) {
-      // A failed (re)build leaves the slot out of service but the
-      // collection consistent: mark unbuilt so routing skips it, record
-      // the error for Indexes(), and retry at the next mutation. The
-      // mutation that got us here stays committed.
-      slot.built = false;
-      slot.build_error = s.ToString();
-      continue;
-    }
-    if (slot.built) ++slot.rebuilds;  // lazy first builds are not rebuilds
-    slot.built = true;
-    slot.staleness = 0;
-    slot.build_error.clear();
+    BuildSlotLocked(shard, slot, &view);
   }
 }
 
@@ -1068,31 +1024,7 @@ void Collection::RunBackgroundRebuild(size_t shard_index, size_t slot_index) {
       return;
     }
     if (shard.version != version) continue;  // mutated mid-build: retry
-
-    if (Status rebound = made.value()->RebindData(shard.data);
-        !rebound.ok()) {
-      // Index type without rebind support: fall back to the pre-refactor
-      // inline rebuild under the lock (correct, just blocking). Quantized
-      // stores need the decoded view for the duration of the build.
-      std::optional<ScopedDecodeView> view;
-      if (quantized_) view.emplace(shard.store.get());
-      if (Status s = slot.index->Build(shard.data); !s.ok()) {
-        slot.built = false;
-        slot.build_error = s.ToString();
-      } else {
-        slot.built = true;
-        ++slot.rebuilds;
-        slot.staleness = 0;
-        slot.build_error.clear();
-      }
-      slot.rebuild_scheduled = false;
-      return;
-    }
-    slot.index = std::move(made).value();
-    slot.built = true;
-    slot.staleness = 0;
-    ++slot.rebuilds;
-    slot.build_error.clear();
+    SwapInLocked(shard, slot, std::move(made).value());
     slot.rebuild_scheduled = false;
     return;
   }
@@ -1121,44 +1053,16 @@ Status Collection::CommitMutationLocked(size_t shard_index,
                                         durability::WalOp op,
                                         uint32_t global_id, const float* vec) {
   Shard& shard = *shards_[shard_index];
-  for (Slot& slot : shard.slots) {
-    // Updatable built slots absorbed the mutation structurally (the caller
-    // ran Insert/Erase on them); everyone else just got staler. Under
-    // quantized storage every slot is static — in-place index maintenance
-    // reads fp32 rows the store has released — so all of them age.
-    if (quantized_ || !(slot.built && slot.index->SupportsUpdates())) {
-      ++slot.staleness;
-    }
-  }
-  ++shard.version;
-  shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
-  shard.approx_free.store(shard.data->free_slots().size(),
-                          std::memory_order_relaxed);
   // Committed: exactly one epoch per successful mutation, build failures
   // notwithstanding (failing slots are out of service, not blocking).
   // Under durability the post-increment epoch value is the mutation's LSN.
   const uint64_t lsn = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  shard.applied_lsn = lsn;
-
-  Status logged = Status::OK();
-  durability::WalWriter* writer = nullptr;
-  if (durability_ != nullptr) {
-    writer = durability_->wals[shard_index].get();
-    if (writer == nullptr) {
-      logged = Status::IoError(
-          "wal: no live segment for shard " + std::to_string(shard_index) +
-          " (a failed checkpoint rotation poisoned this collection)");
-    } else {
-      // Log-after-apply is sound here because disk state only changes at
-      // checkpoints: a record that fails to land is simply never replayed,
-      // and the poisoned writer keeps every *later* mutation unlogged too,
-      // so the durable history stays a prefix of the acknowledged one.
-      logged = writer->Append(lsn, op, global_id, vec);
-      if (logged.ok()) {
-        durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  CommitLocked(shard, lsn);
+  // Log-after-apply is sound here because disk state only changes at
+  // checkpoints: a record that fails to land is simply never replayed,
+  // and the poisoned writer keeps every *later* mutation unlogged too,
+  // so the durable history stays a prefix of the acknowledged one.
+  Status logged = AppendWalLocked(shard_index, lsn, op, global_id, vec);
 
   // SQ8 range retraining rides the inline threshold rebuild: when this
   // mutation pushes a built slot to its rebuild threshold under quantized
@@ -1169,25 +1073,18 @@ Status Collection::CommitMutationLocked(size_t shard_index,
   // nondeterministic, and replayability demands the log alone decide when
   // codes change.
   if (quantized_ && !background_rebuild_) {
-    bool threshold_hit = false;
-    for (const Slot& slot : shard.slots) {
-      if (slot.built && slot.staleness >= slot.rebuild_threshold) {
-        threshold_hit = true;
-        break;
-      }
-    }
-    if (threshold_hit && shard.store->RetrainQuantizer() &&
-        writer != nullptr && logged.ok()) {
-      logged = writer->Append(lsn, durability::WalOp::kRetrain, 0, nullptr);
-      if (logged.ok()) {
-        durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
-      }
+    const bool threshold_hit = std::any_of(
+        shard.slots.begin(), shard.slots.end(), [](const Slot& slot) {
+          return slot.built && slot.staleness >= slot.rebuild_threshold;
+        });
+    if (threshold_hit && shard.store->RetrainQuantizer() && logged.ok()) {
+      logged = AppendWalLocked(shard_index, lsn, durability::WalOp::kRetrain,
+                               0, nullptr);
     }
   }
   // The rebuild runs after any retrain so the new index is built over the
   // re-encoded codes.
   MaybeRebuildLocked(shard_index);
-  if (durability_ == nullptr) return Status::OK();
   MaybeCompactLocked(shard_index);
   return logged;
 }
@@ -1291,22 +1188,16 @@ void Collection::RunCompaction(size_t shard_index) {
         return;
       }
       const size_t trimmed = shard.store->TrimTombstonedTail();
-      // Log the rewrite so mutations recorded after it replay against the
-      // compacted geometry (see WalOp::kTrim). A failed append poisons the
-      // writer: the in-memory trim stands, but nothing later is acked, so
-      // the durable history stays consistent without it.
+      // The rewrite commits like a mutation and is logged so mutations
+      // recorded after it replay against the compacted geometry (see
+      // WalOp::kTrim). A failed append poisons the writer: the in-memory
+      // trim stands, but nothing later is acked, so the durable history
+      // stays consistent without it. The version bump also invalidates any
+      // background rebuild racing us: its snapshot predates the trim.
       const uint64_t lsn = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      shard.applied_lsn = lsn;
-      if (durability::WalWriter* writer =
-              durability_->wals[shard_index].get();
-          writer != nullptr) {
-        Status logged =
-            writer->Append(lsn, durability::WalOp::kTrim,
-                           static_cast<uint32_t>(trimmed), nullptr);
-        if (logged.ok()) {
-          durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      CommitLocked(shard, lsn);
+      (void)AppendWalLocked(shard_index, lsn, durability::WalOp::kTrim,
+                            static_cast<uint32_t>(trimmed), nullptr);
       // The trim and the index swap share this critical section: an index
       // still referencing a trimmed row would hand out ids past the new
       // frontier, where IsDeleted no longer vouches for them.
@@ -1317,37 +1208,10 @@ void Collection::RunCompaction(size_t shard_index) {
           slot.staleness = 0;
           continue;
         }
-        if (Status rebound = replacements[i]->RebindData(shard.data);
-            !rebound.ok()) {
-          // No rebind support: inline rebuild under the lock (correct,
-          // just blocking), mirroring RunBackgroundRebuild's fallback.
-          std::optional<ScopedDecodeView> view;
-          if (quantized_) view.emplace(shard.store.get());
-          if (Status s = slot.index->Build(shard.data); !s.ok()) {
-            slot.built = false;
-            slot.build_error = s.ToString();
-          } else {
-            slot.built = true;
-            ++slot.rebuilds;
-            slot.staleness = 0;
-            slot.build_error.clear();
-          }
-          continue;
-        }
-        slot.index = std::move(replacements[i]);
-        slot.built = true;
-        ++slot.rebuilds;
-        slot.staleness = 0;
-        slot.build_error.clear();
+        SwapInLocked(shard, slot, std::move(replacements[i]));
       }
       shard.compact_floor = shard.data->rows() - shard.data->live_rows();
       shard.compact_scheduled = false;
-      // Invalidate any background rebuild racing us: its snapshot predates
-      // the trim and its swap-in must not land over the new geometry.
-      ++shard.version;
-      shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
-      shard.approx_free.store(shard.data->free_slots().size(),
-                              std::memory_order_relaxed);
       landed = true;
     }
   }
@@ -1396,21 +1260,7 @@ Result<uint32_t> Collection::Upsert(const float* vec, size_t len) {
   const size_t shard_index = PickInsertShard();
   Shard& shard = *shards_[shard_index];
   std::unique_lock lock(shard.mutex);
-  const uint32_t local = shard.store->InsertRow(vec, len);
-  // In-place index maintenance is fp32-only (quantized slots are static and
-  // rebuild from the decode view when staleness hits the threshold).
-  if (!quantized_) {
-    for (Slot& slot : shard.slots) {
-      if (!slot.built || !slot.index->SupportsUpdates()) continue;
-      if (Status s = slot.index->Insert(local); !s.ok()) {
-        // Self-heal: a structural insert failure leaves that one index
-        // missing the id; forcing its staleness to the threshold makes
-        // CommitMutationLocked rebuild it over the live rows, restoring
-        // coherence without unwinding the committed dataset state.
-        slot.staleness = slot.rebuild_threshold;
-      }
-    }
-  }
+  const uint32_t local = InsertRowLocked(shard, vec);
   const uint32_t global = GlobalId(shard_index, local);
   DBLSH_RETURN_IF_ERROR(
       CommitMutationLocked(shard_index, durability::WalOp::kUpsert, global,
@@ -1438,29 +1288,10 @@ Result<uint32_t> Collection::Upsert(uint32_t id, const float* vec,
   // FloatMatrix's free-list is LIFO, so InsertRow hands the same id back —
   // and re-insert. All under one write transaction: no reader ever sees
   // the id missing.
-  DBLSH_RETURN_IF_ERROR(shard.store->EraseRow(local));
-  if (!quantized_) {
-    for (Slot& slot : shard.slots) {
-      if (!slot.built || !slot.index->SupportsUpdates()) continue;
-      if (Status s = slot.index->Erase(local); !s.ok()) {
-        slot.staleness = slot.rebuild_threshold;  // self-heal via rebuild
-        continue;
-      }
-      // Erased cleanly: the matching Insert below restores the id.
-    }
-  }
-  const uint32_t recycled = shard.store->InsertRow(vec, len);
+  DBLSH_RETURN_IF_ERROR(EraseRowLocked(shard, local));
+  const uint32_t recycled = InsertRowLocked(shard, vec);
   assert(recycled == local &&
          "LIFO free-list must hand the slot straight back");
-  if (!quantized_) {
-    for (Slot& slot : shard.slots) {
-      if (!slot.built || !slot.index->SupportsUpdates()) continue;
-      if (slot.staleness >= slot.rebuild_threshold) continue;  // rebuilding
-      if (Status s = slot.index->Insert(recycled); !s.ok()) {
-        slot.staleness = slot.rebuild_threshold;
-      }
-    }
-  }
   const uint32_t global = GlobalId(shard_index, recycled);
   DBLSH_RETURN_IF_ERROR(
       CommitMutationLocked(shard_index, durability::WalOp::kUpsert, global,
@@ -1479,15 +1310,7 @@ Status Collection::Delete(uint32_t id) {
                             " was never assigned");
   }
   DBLSH_RETURN_IF_ERROR(
-      shard.store->EraseRow(local));  // NotFound when already gone
-  if (!quantized_) {
-    for (Slot& slot : shard.slots) {
-      if (!slot.built || !slot.index->SupportsUpdates()) continue;
-      if (Status s = slot.index->Erase(local); !s.ok()) {
-        slot.staleness = slot.rebuild_threshold;  // self-heal via rebuild
-      }
-    }
-  }
+      EraseRowLocked(shard, local));  // NotFound when already gone
   return CommitMutationLocked(shard_index, durability::WalOp::kDelete, id,
                               nullptr);
 }

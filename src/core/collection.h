@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -480,14 +481,16 @@ class Collection {
   }
 
   /// Applies one record shipped from a primary's WAL to shard
-  /// `shard_index`, exactly like crash-recovery replay (erase-then-insert
-  /// slot recycling with LIFO verification, trim count checks, quantizer
-  /// retrains), so the replicated state is byte-identical to what
-  /// reopening the primary's directory would rebuild. Also appends the
-  /// record (with the primary's LSN) to this collection's own WAL so a
-  /// restarted follower recovers locally and re-subscribes from its own
-  /// LSN. Records at or below the shard's applied LSN are skipped
-  /// (duplicate delivery after a reconnect); Corruption on divergence.
+  /// `shard_index` through the same apply routine crash-recovery replay
+  /// uses (ApplyRecordLocked: erase-then-insert slot recycling with LIFO
+  /// verification, trim count checks, quantizer retrains), so the
+  /// replicated state is byte-identical to what reopening the primary's
+  /// directory would rebuild. Also appends the record (with the primary's
+  /// LSN) to this collection's own WAL so a restarted follower recovers
+  /// locally and re-subscribes from its own LSN. Records at or below the
+  /// shard's applied LSN are skipped (duplicate delivery after a
+  /// reconnect). Corruption on divergence or an unknown op, with the
+  /// shard's applied LSN left unchanged.
   Status ApplyReplicatedRecord(size_t shard_index,
                                const durability::WalRecord& record);
 
@@ -577,18 +580,18 @@ class Collection {
   /// free slots), then the smallest shard; ties to the lowest index.
   size_t PickInsertShard() const;
 
-  /// Applies one committed mutation to every slot of `shard`: updatable
-  /// built slots already absorbed it structurally (callers do that), so
-  /// this advances staleness of static/unbuilt slots, triggers threshold
-  /// rebuilds (inline or background per options) and lazy first builds,
-  /// bumps the shard version and the collection epoch. Under durability
-  /// the epoch value becomes the mutation's LSN and the record is
-  /// appended (group-commit synced) to the shard's WAL before returning —
-  /// a non-OK return means the in-memory commit stands but was NOT made
-  /// durable (the caller must not acknowledge it; the poisoned writer
-  /// fails every later mutation too, so the durable state stays a
-  /// consistent prefix). Also evaluates the compaction trigger. Caller
-  /// holds the shard's write lock. `vec` carries the upserted vector for
+  /// The primary's commit of a mutation the caller already applied to the
+  /// store and the updatable slots (InsertRowLocked / EraseRowLocked):
+  /// draws the LSN from the epoch counter, runs CommitLocked, and under
+  /// durability appends the record (group-commit synced) to the shard's
+  /// WAL before returning — a non-OK return means the in-memory commit
+  /// stands but was NOT made durable (the caller must not acknowledge it;
+  /// the poisoned writer fails every later mutation too, so the durable
+  /// state stays a consistent prefix). Then the primary-only triggers:
+  /// the quantizer retrain at a rebuild threshold (logged as its own
+  /// record), threshold rebuilds (inline or background per options) and
+  /// lazy first builds, and the compaction trigger. Caller holds the
+  /// shard's write lock. `vec` carries the upserted vector for
   /// WalOp::kUpsert and is ignored otherwise.
   Status CommitMutationLocked(size_t shard_index, durability::WalOp op,
                               uint32_t global_id, const float* vec);
@@ -598,12 +601,67 @@ class Collection {
   Status InitDurability(const CollectionOptions& options);
 
   /// Rebuilds every shard's store from its snapshot and replays the WAL
-  /// segments at/after `manifest.wal_seq` (records at or before each
-  /// snapshot's LSN are skipped), then takes a checkpoint so the next
+  /// segments at/after `manifest.wal_seq` through ApplyRecordLocked +
+  /// CommitLocked — the apply path replication uses — skipping records at
+  /// or before each snapshot's LSN, then takes a checkpoint so the next
   /// open starts from a rotated, torn-tail-free log. Called on the empty
   /// shards of a just-constructed collection, before any index exists.
   Status RecoverShards(const CollectionOptions& options,
                        const durability::Manifest& manifest);
+
+  /// The one apply routine for a logged mutation, shared by WAL replay
+  /// and replication: upsert (fresh or in-place replace), delete, trim
+  /// (then rebuilds every built slot over the compacted rows) and retrain
+  /// (then forces every built slot to its rebuild threshold). Verifies the
+  /// log against the shard — owning shard, payload dimension, landing row,
+  /// trim count — and returns Corruption on divergence or an unknown op,
+  /// before any commit bookkeeping. Caller holds the shard's write lock
+  /// and commits with CommitLocked.
+  Status ApplyRecordLocked(size_t shard_index,
+                           const durability::WalRecord& rec);
+
+  /// Commit bookkeeping shared by every mutation path: ages the slots that
+  /// did not absorb the mutation structurally, bumps the shard version
+  /// (invalidating in-flight background snapshots) and the advisory row /
+  /// free counts, records `lsn` as the shard's applied LSN and raises the
+  /// epoch counter to at least `lsn`. Caller holds the write lock.
+  void CommitLocked(Shard& shard, uint64_t lsn);
+
+  /// Appends one record to the shard's WAL segment and counts it. OK
+  /// without durability; IoError when no live segment exists (a failed
+  /// checkpoint rotation poisoned the collection) or the append fails.
+  /// Caller holds the shard's write lock.
+  Status AppendWalLocked(size_t shard_index, uint64_t lsn,
+                         durability::WalOp op, uint32_t id, const float* vec);
+
+  /// Tombstones local row `local` in the store (NotFound when it is
+  /// already gone) and erases it from every built updatable slot under
+  /// fp32 storage. A slot whose structural erase fails is forced to its
+  /// rebuild threshold, so the commit rebuilds it (self-heal).
+  Status EraseRowLocked(Shard& shard, uint32_t local);
+
+  /// Stores `vec` (recycling the LIFO free slot when there is one) and
+  /// inserts the landed row into every built updatable slot under fp32
+  /// storage, except slots already at their rebuild threshold (a rebuild
+  /// will cover the row). Same self-heal rule as EraseRowLocked. Returns
+  /// the landed local row.
+  uint32_t InsertRowLocked(Shard& shard, const float* vec);
+
+  /// Rebuilds `slot` in place over the shard's rows inside the caller's
+  /// write transaction: on success the slot serves (staleness 0, error
+  /// cleared, one more rebuild unless this was its first build); on
+  /// failure it drops out of service with the error recorded until a
+  /// later mutation retries. Under quantized storage the first build of a
+  /// pass materializes `*view` and later builds reuse it.
+  void BuildSlotLocked(Shard& shard, Slot& slot,
+                       std::optional<ScopedDecodeView>* view);
+
+  /// Lands an index built off-lock over a snapshot of an unchanged shard:
+  /// rebinds it to the shard's rows and swaps it into `slot`, or — for an
+  /// index type without RebindData — rebuilds the slot's own instance
+  /// under the lock (BuildSlotLocked).
+  void SwapInLocked(Shard& shard, Slot& slot,
+                    std::unique_ptr<AnnIndex> replacement);
 
   /// Evaluates the tombstone-ratio compaction trigger for `shard` and
   /// schedules RunCompaction when it fires. Caller holds the write lock.

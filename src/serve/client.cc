@@ -395,6 +395,11 @@ Status Client::ReceiveReplicationEvent(uint32_t dim, ReplicationEvent* event,
       if (!r.GetU64(&rec.lsn) || !r.GetU8(&op) || !r.GetU32(&rec.id)) {
         return ProtocolError("malformed WalRecords frame");
       }
+      if (op < static_cast<uint8_t>(durability::WalOp::kUpsert) ||
+          op > static_cast<uint8_t>(durability::WalOp::kRetrain)) {
+        return ProtocolError("unknown wal op " + std::to_string(op) +
+                             " in WalRecords frame");
+      }
       rec.op = static_cast<durability::WalOp>(op);
       if (rec.op == durability::WalOp::kUpsert &&
           !r.GetF32Array(dim, &rec.vec)) {
