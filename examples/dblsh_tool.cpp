@@ -19,8 +19,7 @@
 //                                [--use=NAME] [--filter=deny:3,17] [--gt]
 //   dblsh_tool stats --data=data.fvecs
 //   dblsh_tool serve --data=data.fvecs [--indexes="DB-LSH"] [--port=0]
-//                    [--collection=main] [--window-us=1000]
-//                    [--duration-ms=0]
+//                    [--collection=main] [--duration-ms=0]
 //   dblsh_tool serve --replicate-from=host:port --durability=DIR
 //                    [--indexes="DB-LSH"] [--port=0]
 //   dblsh_tool replication status --server=host:port
@@ -61,9 +60,9 @@
 // the query fan-out; pass `--threads=1` when timing per-query latency.
 //
 // `serve` hosts a collection over the framed-TCP protocol (src/serve/):
-// the coalescer micro-batches concurrent client searches into one
-// SearchBatch. It runs until SIGINT/SIGTERM (or --duration-ms) and then
-// drains gracefully. With `--replicate-from=H:P` the process comes up as
+// each client search runs at once as one task on the query executor. It
+// runs until SIGINT/SIGTERM (or --duration-ms) and then drains
+// gracefully. With `--replicate-from=H:P` the process comes up as
 // a read replica of a running primary instead: it bootstraps (or locally
 // recovers) its own durable copy under --durability=DIR, tails the
 // primary's per-shard WAL streams, and serves reads only — writes are
@@ -182,8 +181,7 @@ int Usage() {
       "  stats  --data=F.fvecs | --server=H:P\n"
       "  serve  --data=F.fvecs [--indexes=\"SPEC; SPEC\"] "
       "[--collection=main] [--host=A] [--port=0]\n"
-      "         [--window-us=1000] [--max-batch=32] [--max-connections=32] "
-      "[--threads=N] [--duration-ms=0]\n"
+      "         [--max-connections=32] [--threads=N] [--duration-ms=0]\n"
       "         [--shards=N] [--storage=fp32|sq8|pq] [--m=M] [--rerank=N]\n"
       "         [--durability=DIR] [--compact-threshold=R] [--wal-sync=N]\n"
       "         [--replicate-from=H:P]   (read replica; requires "
@@ -427,10 +425,6 @@ int RunServe(const Args& args) {
   options.port = static_cast<uint16_t>(args.GetInt("port", 0));
   options.max_connections =
       static_cast<size_t>(args.GetInt("max-connections", 32));
-  options.coalescer.window_us =
-      static_cast<uint32_t>(args.GetInt("window-us", 1000));
-  options.coalescer.max_batch =
-      static_cast<size_t>(args.GetInt("max-batch", 32));
   if (replica != nullptr) {
     replication::Replica* raw = replica.get();
     options.replication_report = [raw] { return raw->Report(); };
@@ -444,9 +438,7 @@ int RunServe(const Args& args) {
               "%s:%u\n",
               name.c_str(), collection.size(), build_timer.ElapsedSec(),
               options.host.c_str(), unsigned{server.value()->port()});
-  std::printf("window %u us, batch cap %zu, %zu connections max; "
-              "Ctrl-C to drain and exit\n",
-              options.coalescer.window_us, options.coalescer.max_batch,
+  std::printf("%zu connections max; Ctrl-C to drain and exit\n",
               options.max_connections);
   std::fflush(stdout);
 
@@ -506,7 +498,7 @@ int RunPing(const Args& args) {
 }
 
 // collection search --server=H:P: ships the whole query file as one
-// SearchBatch RPC (the server dispatches it without a window hold).
+// SearchBatch RPC (the server runs it as one SearchBatch task).
 int RunRemoteSearch(const Args& args) {
   const std::string query_path = args.Get("queries", "");
   if (query_path.empty()) return Usage();
@@ -643,7 +635,7 @@ int RunRemoteStats(const Args& args) {
               static_cast<unsigned long long>(s.upserts),
               static_cast<unsigned long long>(s.deletes),
               static_cast<unsigned long long>(s.protocol_errors));
-  std::printf("coalescing: %llu batches over %llu queries "
+  std::printf("dispatch: %llu calls over %llu queries "
               "(mean %.2f, max %llu); %llu shed, %llu deadline-rejected\n",
               static_cast<unsigned long long>(s.batches_dispatched),
               static_cast<unsigned long long>(s.batched_queries),

@@ -27,9 +27,9 @@ struct ClientOptions {
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
 };
 
-/// One Search answer: the neighbors plus the size of the server-side
-/// batch the query was coalesced into (≥2 means it shared a
-/// SearchBatch with concurrent peers).
+/// One Search answer: the neighbors plus the number of queries in the
+/// server-side call that answered it (always 1: the server dispatches
+/// each Search on its own).
 struct SearchReply {
   QueryResponse response;
   uint32_t batch_size = 0;
@@ -131,7 +131,8 @@ class Client {
                              uint32_t deadline_us = 0);
 
   /// Pre-formed batch of queries, dispatched server-side as one
-  /// SearchBatch (no coalescing window).
+  /// SearchBatch. A batch larger than the server's max_inflight fails
+  /// with InvalidArgument (it could never be admitted).
   Result<std::vector<QueryResponse>> SearchBatch(
       const std::string& collection, const FloatMatrix& queries,
       const QueryRequest& request, uint32_t deadline_us = 0);
@@ -190,8 +191,7 @@ class Client {
   /// Pipelined send half: writes one Search request WITHOUT waiting for
   /// the response and returns its request_id. Pair with
   /// ReceiveSearchReply from a receiver thread (open-loop load
-  /// generation: keeps many requests in flight on one connection, which
-  /// is what gives the server's coalescer companions to batch).
+  /// generation: keeps many requests in flight on one connection).
   Result<uint64_t> SendSearch(const std::string& collection,
                               const float* query, size_t dim,
                               const QueryRequest& request,

@@ -54,7 +54,7 @@ inline constexpr uint32_t kDefaultMaxPayloadBytes = 16u << 20;
 /// Operation selector of a frame. Responses reuse the request's op.
 enum class OpCode : uint8_t {
   kPing = 0,         ///< liveness probe; empty payload both ways
-  kSearch = 1,       ///< one k-NN query (coalesced server-side)
+  kSearch = 1,       ///< one k-NN query, dispatched at once
   kSearchBatch = 2,  ///< pre-formed query batch, dispatched as-is
   kUpsert = 3,       ///< insert or replace one vector
   kDelete = 4,       ///< tombstone one id

@@ -14,7 +14,7 @@ namespace dblsh::serve {
 
 namespace {
 
-using Clock = Coalescer::Clock;
+using Clock = std::chrono::steady_clock;
 
 // Response payload prefix shared by every op: status + message.
 std::vector<uint8_t> StatusPayload(WireStatus status,
@@ -80,7 +80,10 @@ Status Server::Connection::WriteFrame(const std::vector<uint8_t>& frame) {
 
 Server::Server(std::vector<ServedCollection> collections,
                const ServerOptions& options)
-    : options_(options) {
+    : options_(options),
+      query_pool_(options.query_executor != nullptr
+                      ? options.query_executor
+                      : &exec::TaskExecutor::Default()) {
   for (const auto& served : collections) {
     collections_[served.name] = served.collection;
   }
@@ -110,34 +113,34 @@ Result<std::unique_ptr<Server>> Server::Start(
   if (!listening.ok()) return listening.status();
   server->listen_fd_ = listening.value();
 
-  // One worker per long-lived task: acceptor + coalescer flusher + one
-  // reader per admitted connection.
+  // One worker per long-lived task: the acceptor + one reader per
+  // admitted connection.
   server->io_pool_ = std::make_unique<exec::TaskExecutor>(
-      options.max_connections + 2);
-  exec::TaskExecutor* query_pool = options.query_executor != nullptr
-                                       ? options.query_executor
-                                       : &exec::TaskExecutor::Default();
-  server->coalescer_ = std::make_unique<Coalescer>(
-      server->io_pool_.get(), query_pool, options.coalescer);
+      options.max_connections + 1);
   Server* raw = server.get();
   server->io_pool_->Schedule([raw] { raw->AcceptLoop(); });
   return server;
 }
 
-Server::~Server() {
-  Shutdown();
-  // Destruction order below (coalescer before io_pool) drains the
-  // flusher task before its executor joins.
-}
+Server::~Server() { Shutdown(); }
 
 void Server::Shutdown() {
   std::lock_guard shutdown_lock(shutdown_mutex_);
-  // A server whose Start failed before serving began has nothing to drain.
-  if (shutdown_done_.load() || coalescer_ == nullptr) return;
+  if (shutdown_done_.load()) return;
   stopping_.store(true, std::memory_order_release);
-  // Held searches flush and their responses are written while the
-  // connection objects are still alive (callbacks hold references).
-  coalescer_->Drain();
+  // Admitted searches complete and write their responses while the
+  // connection objects are still alive (the tasks hold references). This
+  // thread runs queued tasks itself, so a saturated (or width-1) query
+  // pool cannot starve the searches being awaited.
+  {
+    std::unique_lock lock(admit_mutex_);
+    while (inflight_ > 0) {
+      lock.unlock();
+      const bool ran = query_pool_->RunOnePendingTask();
+      lock.lock();
+      if (!ran) drained_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    }
+  }
   // Reader loops observe stopping_ within poll_interval_ms and exit;
   // the last reference to each connection closes its socket.
   {
@@ -148,7 +151,6 @@ void Server::Shutdown() {
 }
 
 ServerStats Server::Stats() const {
-  const CoalescerStats c = coalescer_->stats();
   ServerStats s;
   s.connections_accepted = connections_accepted_.load();
   s.connections_rejected = connections_rejected_.load();
@@ -161,15 +163,18 @@ ServerStats Server::Stats() const {
   s.upserts = upserts_.load();
   s.deletes = deletes_.load();
   s.protocol_errors = protocol_errors_.load();
-  s.shed_overload = c.shed_overload;
-  s.rejected_deadline = c.rejected_deadline;
-  s.batches_dispatched = c.batches_dispatched;
-  s.batched_queries = c.batched_queries;
-  s.max_batch_size = c.max_batch_size;
+  {
+    std::lock_guard lock(admit_mutex_);
+    s.shed_overload = shed_overload_;
+    s.rejected_deadline = rejected_deadline_;
+    s.batches_dispatched = batches_dispatched_;
+    s.batched_queries = batched_queries_;
+    s.max_batch_size = max_batch_size_;
+  }
   s.mean_batch_size =
-      c.batches_dispatched > 0
-          ? static_cast<double>(c.batched_queries) /
-                static_cast<double>(c.batches_dispatched)
+      s.batches_dispatched > 0
+          ? static_cast<double>(s.batched_queries) /
+                static_cast<double>(s.batches_dispatched)
           : 0.0;
   s.replication_subscriptions = replication_subscriptions_.load();
   s.replication_records_shipped = replication_records_shipped_.load();
@@ -356,36 +361,16 @@ void Server::HandleSearch(const std::shared_ptr<Connection>& conn,
                   std::to_string(collection->dim()));
     return;
   }
-  if (stopping_.load(std::memory_order_acquire)) {
-    SendError(conn, OpCode::kSearch, request_id, WireStatus::kShuttingDown,
-              "server draining");
-    return;
-  }
-  searches_.fetch_add(1);
-  Status admitted = coalescer_->Submit(
-      collection, std::move(query), head.request,
-      DeadlineFrom(head.deadline_us),
-      [conn, request_id](const Status& status, QueryResponse response,
-                         uint32_t batch_size) {
-        if (!status.ok()) {
-          (void)conn->WriteFrame(EncodeFrame(
-              OpCode::kSearch, request_id,
-              StatusPayload(FromStatus(status), status.message())));
-          return;
-        }
-        std::vector<uint8_t> body = StatusPayload(WireStatus::kOk, "");
-        AppendResponseBody(&body, response);
-        wire::PutU32(&body, batch_size);
-        (void)conn->WriteFrame(EncodeFrame(OpCode::kSearch, request_id, body));
-      });
-  if (!admitted.ok()) {
-    WireStatus status = FromStatus(admitted);
-    if (admitted.code() == StatusCode::kUnavailable &&
-        stopping_.load(std::memory_order_acquire)) {
-      status = WireStatus::kShuttingDown;
-    }
-    SendError(conn, OpCode::kSearch, request_id, status, admitted.message());
-  }
+  Dispatch(conn, OpCode::kSearch, request_id, 1, head.deadline_us,
+           [collection, query = std::move(query),
+            request = head.request]() -> Result<std::vector<uint8_t>> {
+             auto got = collection->Search(query.data(), request);
+             if (!got.ok()) return got.status();
+             std::vector<uint8_t> body = StatusPayload(WireStatus::kOk, "");
+             AppendResponseBody(&body, got.value());
+             wire::PutU32(&body, 1);  // batch_size: one query per call
+             return body;
+           });
 }
 
 void Server::HandleSearchBatch(const std::shared_ptr<Connection>& conn,
@@ -416,41 +401,89 @@ void Server::HandleSearchBatch(const std::shared_ptr<Connection>& conn,
                   std::to_string(dim) + " dims cannot be served");
     return;
   }
-  if (stopping_.load(std::memory_order_acquire)) {
-    SendError(conn, OpCode::kSearchBatch, request_id,
-              WireStatus::kShuttingDown, "server draining");
+  Dispatch(conn, OpCode::kSearchBatch, request_id, num, head.deadline_us,
+           [collection, queries = FloatMatrix(num, dim, std::move(flat)),
+            request = head.request]() -> Result<std::vector<uint8_t>> {
+             auto got = collection->SearchBatch(queries, request);
+             if (!got.ok()) return got.status();
+             std::vector<uint8_t> body = StatusPayload(WireStatus::kOk, "");
+             wire::PutU32(&body, static_cast<uint32_t>(got.value().size()));
+             for (const QueryResponse& response : got.value()) {
+               AppendResponseBody(&body, response);
+             }
+             return body;
+           });
+}
+
+void Server::Dispatch(const std::shared_ptr<Connection>& conn, OpCode op,
+                      uint64_t request_id, uint64_t queries,
+                      uint32_t deadline_us,
+                      std::function<Result<std::vector<uint8_t>>()> run) {
+  if (queries > options_.max_inflight) {
+    // Shedding this as retryable would make a client retry forever.
+    SendError(conn, op, request_id, WireStatus::kInvalidArgument,
+              "batch of " + std::to_string(queries) +
+                  " queries exceeds the server's max_inflight of " +
+                  std::to_string(options_.max_inflight) + "; split it");
     return;
   }
-  searches_.fetch_add(num);
-  FloatMatrix queries(num, dim, std::move(flat));
-  Status admitted = coalescer_->SubmitBatch(
-      collection, std::move(queries), head.request,
-      DeadlineFrom(head.deadline_us),
-      [conn, request_id](const Status& status,
-                         std::vector<QueryResponse> responses) {
-        if (!status.ok()) {
-          (void)conn->WriteFrame(EncodeFrame(
-              OpCode::kSearchBatch, request_id,
-              StatusPayload(FromStatus(status), status.message())));
-          return;
-        }
-        std::vector<uint8_t> body = StatusPayload(WireStatus::kOk, "");
-        wire::PutU32(&body, static_cast<uint32_t>(responses.size()));
-        for (const QueryResponse& response : responses) {
-          AppendResponseBody(&body, response);
-        }
-        (void)conn->WriteFrame(
-            EncodeFrame(OpCode::kSearchBatch, request_id, body));
-      });
-  if (!admitted.ok()) {
-    WireStatus status = FromStatus(admitted);
-    if (admitted.code() == StatusCode::kUnavailable &&
-        stopping_.load(std::memory_order_acquire)) {
-      status = WireStatus::kShuttingDown;
+  const Clock::time_point deadline = DeadlineFrom(deadline_us);
+  {
+    std::unique_lock lock(admit_mutex_);
+    if (stopping_.load(std::memory_order_acquire)) {
+      lock.unlock();
+      SendError(conn, op, request_id, WireStatus::kShuttingDown,
+                "server draining");
+      return;
     }
-    SendError(conn, OpCode::kSearchBatch, request_id, status,
-              admitted.message());
+    searches_.fetch_add(queries);
+    if (deadline <= Clock::now()) {
+      rejected_deadline_ += queries;
+      lock.unlock();
+      SendError(conn, op, request_id, WireStatus::kDeadlineExceeded,
+                "deadline expired before admission");
+      return;
+    }
+    if (inflight_ + queries > options_.max_inflight) {
+      shed_overload_ += queries;
+      const std::string message =
+          "queue full (" + std::to_string(inflight_) + " in flight); retry";
+      lock.unlock();
+      SendError(conn, op, request_id, WireStatus::kOverloaded, message);
+      return;
+    }
+    inflight_ += queries;
   }
+  query_pool_->Schedule([this, conn, op, request_id, queries, deadline,
+                         run = std::move(run)] {
+    // The deadline is checked again here: a query that waited out its
+    // budget in the executor's queue never touches the index.
+    const bool expired = Clock::now() >= deadline;
+    Result<std::vector<uint8_t>> body =
+        expired ? Result<std::vector<uint8_t>>(Status::DeadlineExceeded(
+                      "deadline expired before execution"))
+                : run();
+    {
+      // Counters land before the response, so a client that reads Stats
+      // after its reply sees its own query counted.
+      std::lock_guard lock(admit_mutex_);
+      if (expired) {
+        rejected_deadline_ += queries;
+      } else {
+        ++batches_dispatched_;
+        batched_queries_ += queries;
+        max_batch_size_ = std::max(max_batch_size_, queries);
+      }
+      inflight_ -= queries;
+      if (inflight_ == 0) drained_cv_.notify_all();
+    }
+    if (body.ok()) {
+      (void)conn->WriteFrame(EncodeFrame(op, request_id, body.value()));
+    } else {
+      SendError(conn, op, request_id, FromStatus(body.status()),
+                body.status().message());
+    }
+  });
 }
 
 void Server::HandleUpsert(const std::shared_ptr<Connection>& conn,

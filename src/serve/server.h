@@ -2,6 +2,7 @@
 #define DBLSH_SERVE_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -13,7 +14,6 @@
 
 #include "core/collection.h"
 #include "exec/task_executor.h"
-#include "serve/coalescer.h"
 #include "serve/protocol.h"
 #include "util/status.h"
 
@@ -59,10 +59,13 @@ struct ServerOptions {
   /// Send timeout (seconds) on accepted sockets: a peer that stops
   /// draining its responses errors out instead of wedging a writer.
   int send_timeout_s = 5;
-  /// Micro-batching admission knobs (window, batch cap, backpressure).
-  CoalescerOptions coalescer;
-  /// Executor running coalesced SearchBatch dispatches; nullptr uses
-  /// exec::TaskExecutor::Default(). Must outlive the server.
+  /// Backpressure limit: queries admitted but not yet completed. At the
+  /// limit a search sheds with a retryable kOverloaded instead of queueing
+  /// unboundedly; a SearchBatch of more queries than this can never be
+  /// admitted and is refused with kInvalidArgument.
+  size_t max_inflight = 1024;
+  /// Executor running the admitted Search / SearchBatch tasks; nullptr
+  /// uses exec::TaskExecutor::Default(). Must outlive the server.
   exec::TaskExecutor* query_executor = nullptr;
   /// Replica self-report hook: non-null marks this server a replica and
   /// answers kReplicaStatus from it (a Replica wires its Report() in
@@ -72,8 +75,9 @@ struct ServerOptions {
 };
 
 /// Monotonic server counters (Server::Stats, also served over the wire by
-/// OpCode::kStats). Batch counters come from the coalescer:
-/// `batched_queries / batches_dispatched` is the mean achieved batch size.
+/// OpCode::kStats). A dispatched call is one Collection::Search (kSearch,
+/// one query) or SearchBatch (kSearchBatch, its rows):
+/// `batched_queries / batches_dispatched` is the mean queries per call.
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_rejected = 0;  ///< shed at max_connections
@@ -85,9 +89,9 @@ struct ServerStats {
   uint64_t protocol_errors = 0;   ///< malformed frames / payloads
   uint64_t shed_overload = 0;     ///< queries refused at max_inflight
   uint64_t rejected_deadline = 0; ///< queries expired before execution
-  uint64_t batches_dispatched = 0;
-  uint64_t batched_queries = 0;
-  uint64_t max_batch_size = 0;
+  uint64_t batches_dispatched = 0; ///< Search / SearchBatch calls executed
+  uint64_t batched_queries = 0;    ///< queries executed inside those calls
+  uint64_t max_batch_size = 0;     ///< most queries in one call
   /// batched_queries / batches_dispatched (0 when nothing dispatched).
   double mean_batch_size = 0.0;
   uint64_t replication_subscriptions = 0;  ///< kSubscribe streams served
@@ -108,9 +112,9 @@ struct ServerStats {
 /// executor owned by the server — no raw threads). A reader decodes
 /// frames (magic/version/length/checksum gates, all failures answered
 /// with kProtocolError or dropped without trusting the stream), then:
-/// Search requests go through the micro-batching Coalescer — held up to
-/// `window_us` for companions, dispatched as one Collection::SearchBatch
-/// on the query executor, fanned back per connection; Upsert/Delete run
+/// a Search is admitted and dispatched at once as one Collection::Search
+/// task on the query executor, a SearchBatch as one SearchBatch task, and
+/// the task writes the response to its connection; Upsert/Delete run
 /// inline on the reader (the Collection's writer lock serializes them);
 /// Ping/Stats answer immediately.
 ///
@@ -118,22 +122,22 @@ struct ServerStats {
 ///  - deadline propagation: a request whose client-supplied budget
 ///    (deadline_us) elapsed is answered kDeadlineExceeded without
 ///    touching the index — checked at admission and again at dispatch;
-///  - backpressure: past `coalescer.max_inflight` queued queries (or
+///  - backpressure: past `max_inflight` queued queries (or
 ///    `max_connections` peers) requests shed with retryable kOverloaded
 ///    instead of growing queues unboundedly;
 ///  - client death: SIGPIPE is ignored process-wide and every send uses
 ///    MSG_NOSIGNAL, so a client vanishing mid-response tears down only
-///    its own connection — in-flight batch peers are unaffected;
-///  - shutdown: Shutdown() stops intake, drains the coalescer (held
-///    queries complete and their responses are written), then closes
-///    connections and joins every serving task.
+///    its own connection — other connections' queries are unaffected;
+///  - shutdown: Shutdown() stops intake, drains admitted queries (they
+///    complete and their responses are written), then closes connections
+///    and joins every serving task.
 ///
 /// Thread-safety: all public members are safe to call concurrently.
 class Server {
  public:
-  /// Binds, spins up the acceptor and coalescer, and starts serving the
-  /// given collections. Fails with InvalidArgument on duplicate or empty
-  /// names / null collections, IoError when the bind fails.
+  /// Binds, spins up the acceptor and starts serving the given
+  /// collections. Fails with InvalidArgument on duplicate or empty names
+  /// / null collections, IoError when the bind fails.
   static Result<std::unique_ptr<Server>> Start(
       std::vector<ServedCollection> collections,
       const ServerOptions& options = {});
@@ -152,9 +156,10 @@ class Server {
   ServerStats Stats() const;
 
   /// Graceful drain: stop accepting, refuse new requests with
-  /// kShuttingDown, flush the coalescer window (admitted requests
-  /// complete and their responses are written), close connections.
-  /// Idempotent; blocks until quiesced.
+  /// kShuttingDown, wait for admitted searches (they complete and their
+  /// responses are written; the calling thread runs queued ones itself,
+  /// so a saturated query executor cannot stall the drain), close
+  /// connections. Idempotent; blocks until quiesced.
   void Shutdown();
 
  private:
@@ -186,10 +191,11 @@ class Server {
   bool HandleFrame(const std::shared_ptr<Connection>& conn,
                    const FrameHeader& header,
                    const std::vector<uint8_t>& payload);
-  /// Op handler (payload already checksum-verified): coalesced search.
+  /// Op handler (payload already checksum-verified): one query, one
+  /// Collection::Search task.
   void HandleSearch(const std::shared_ptr<Connection>& conn,
                     uint64_t request_id, const std::vector<uint8_t>& payload);
-  /// Op handler: pre-formed batch, dispatched without a window hold.
+  /// Op handler: pre-formed batch, one Collection::SearchBatch task.
   void HandleSearchBatch(const std::shared_ptr<Connection>& conn,
                          uint64_t request_id,
                          const std::vector<uint8_t>& payload);
@@ -220,6 +226,16 @@ class Server {
   void HandleReplicaStatus(const std::shared_ptr<Connection>& conn,
                            uint64_t request_id,
                            const std::vector<uint8_t>& payload);
+  /// Admission shared by both search ops: `queries` queries count against
+  /// max_inflight; a request refused while draining, past its deadline
+  /// (`deadline_us`, 0 = none), over the limit, or larger than the limit
+  /// is answered with its typed status and `run` never runs. Otherwise
+  /// `run` becomes one task on the query executor that re-checks the
+  /// deadline before touching the index and returns the OK response body
+  /// (or the failed status); the task answers exactly once, off-lock.
+  void Dispatch(const std::shared_ptr<Connection>& conn, OpCode op,
+                uint64_t request_id, uint64_t queries, uint32_t deadline_us,
+                std::function<Result<std::vector<uint8_t>>()> run);
   /// Sends a status-only response frame.
   void SendError(const std::shared_ptr<Connection>& conn, OpCode op,
                  uint64_t request_id, WireStatus status,
@@ -238,17 +254,31 @@ class Server {
   std::mutex shutdown_mutex_;  ///< serializes Shutdown callers
 
   // Declared before io_pool_ so destruction joins the acceptor/reader
-  // tasks while the connection-tracking state they touch is still alive
-  // (members destroy in reverse order; a connection admitted in the
-  // window after Shutdown()'s wait returns must not lock a dead mutex).
+  // tasks while the connection-tracking and admission state they touch
+  // is still alive (members destroy in reverse order; a connection
+  // admitted in the window after Shutdown()'s wait returns must not lock
+  // a dead mutex).
   mutable std::mutex conn_mutex_;
   std::condition_variable conn_cv_;
   size_t active_connections_ = 0;  ///< guarded by conn_mutex_
 
-  // Dedicated IO executor: 1 acceptor + 1 coalescer flusher + one worker
-  // per admitted connection (all long-lived tasks; sized accordingly).
+  // Search admission. Admission reads stopping_ under this mutex, so once
+  // Shutdown() has taken it after setting stopping_, inflight_ only falls.
+  // The counters below inflight_ are the ServerStats fields of the same
+  // names; all of them are guarded by admit_mutex_.
+  mutable std::mutex admit_mutex_;
+  std::condition_variable drained_cv_;  ///< inflight_ reached 0
+  uint64_t inflight_ = 0;  ///< admitted - completed queries
+  uint64_t shed_overload_ = 0;
+  uint64_t rejected_deadline_ = 0;
+  uint64_t batches_dispatched_ = 0;
+  uint64_t batched_queries_ = 0;
+  uint64_t max_batch_size_ = 0;
+  exec::TaskExecutor* query_pool_;  ///< runs the admitted search tasks
+
+  // Dedicated IO executor: 1 acceptor + one worker per admitted
+  // connection (all long-lived tasks; sized accordingly).
   std::unique_ptr<exec::TaskExecutor> io_pool_;
-  std::unique_ptr<Coalescer> coalescer_;
 
   // Counters (see ServerStats).
   std::atomic<uint64_t> connections_accepted_{0};

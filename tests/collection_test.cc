@@ -17,9 +17,12 @@
 #include <vector>
 
 #include "core/collection.h"
+#include "core/db_lsh.h"
 #include "core/index_factory.h"
 #include "dataset/float_matrix.h"
+#include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
+#include "eval/metrics.h"
 #include "exec/task_executor.h"
 #include "util/random.h"
 
@@ -669,6 +672,98 @@ void RunReadersUnderWriterStress(const std::string& spec) {
   ExpectMatchesOracle(exact.value().neighbors,
                       Oracle(snapshot, snapshot.row(64), request.k),
                       "final state");
+}
+
+// A 90/5/5 query/upsert/delete stream (an upsert and a delete every 20
+// ops; queries and the evaluation set are live rows plus cluster noise)
+// against a Collection whose DB-LSH index absorbs every mutation in place.
+// Afterwards its recall@10 must stay within 0.02 of a DB-LSH freshly
+// built over the final rows at the same parameters: updating the R*-trees
+// in place loses nothing a full rebuild would recover.
+TEST(CollectionStreamingTest, InPlaceUpdatesKeepRecallOfAFreshBuild) {
+  constexpr size_t kN = 5000, kDim = 32, kOps = 1000, kK = 10, kEval = 50;
+  constexpr size_t kUpserts = kOps / 20, kDeletes = kOps / 20;
+  constexpr uint64_t kSeed = 7;
+  ClusteredSpec spec;
+  spec.n = kN + kUpserts;  // the tail rows are the upsert stream
+  spec.dim = kDim;
+  spec.clusters = std::max<size_t>(32, spec.n / 10);
+  spec.center_spread = 25.0;
+  spec.seed = kSeed;
+  const FloatMatrix cloud = GenerateClustered(spec);
+  auto made =
+      Collection::FromSpec("collection: DB-LSH,name=streaming",
+                           std::make_unique<FloatMatrix>(cloud.Prefix(kN)));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Collection& collection = *made.value();
+  const auto* streaming =
+      dynamic_cast<const DbLsh*>(collection.GetIndex("streaming"));
+  ASSERT_NE(streaming, nullptr);
+
+  Rng rng(kSeed ^ 0x57EAAULL);
+  const auto perturb = [&](const float* base, float* out) {
+    for (size_t j = 0; j < kDim; ++j) {
+      out[j] =
+          base[j] + static_cast<float>(rng.Gaussian() * spec.cluster_stddev);
+    }
+  };
+  // The live ids and the cloud row each one serves.
+  std::vector<uint32_t> live;
+  std::vector<const float*> live_vec;
+  for (uint32_t id = 0; id < kN; ++id) {
+    live.push_back(id);
+    live_vec.push_back(cloud.row(id));
+  }
+  QueryRequest request;
+  request.k = kK;
+  std::vector<float> query(kDim);
+  size_t next_row = kN, upserts = 0, deletes = 0;
+  for (size_t op = 0; op < kOps; ++op) {
+    const size_t phase = op % 20;
+    if (phase == 7 && upserts < kUpserts) {
+      const float* vec = cloud.row(next_row++);
+      auto up = collection.Upsert(vec, kDim);
+      ASSERT_TRUE(up.ok()) << up.status().ToString();
+      live.push_back(up.value());
+      live_vec.push_back(vec);
+      ++upserts;
+    } else if (phase == 13 && deletes < kDeletes) {
+      const size_t pick = rng.UniformInt(live.size());
+      ASSERT_TRUE(collection.Delete(live[pick]).ok());
+      live[pick] = live.back();
+      live.pop_back();
+      live_vec[pick] = live_vec.back();
+      live_vec.pop_back();
+      ++deletes;
+    } else {
+      perturb(live_vec[rng.UniformInt(live_vec.size())], query.data());
+      ASSERT_TRUE(collection.Search(query.data(), request, "streaming").ok());
+    }
+  }
+  ASSERT_EQ(upserts, kUpserts);
+  ASSERT_EQ(deletes, kDeletes);
+
+  const FloatMatrix final_data = collection.Snapshot();
+  FloatMatrix eval_set(kEval, kDim);
+  for (size_t q = 0; q < kEval; ++q) {
+    perturb(final_data.row(live[rng.UniformInt(live.size())]),
+            eval_set.mutable_row(q));
+  }
+  DbLsh rebuilt(streaming->params());
+  ASSERT_TRUE(rebuilt.Build(&final_data).ok());
+  double streamed_recall = 0.0, rebuilt_recall = 0.0;
+  for (size_t q = 0; q < kEval; ++q) {
+    const auto gt = ExactKnn(final_data, eval_set.row(q), kK);
+    auto got = collection.Search(eval_set.row(q), request, "streaming");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    streamed_recall += eval::Recall(got.value().neighbors, gt);
+    rebuilt_recall += eval::Recall(rebuilt.Query(eval_set.row(q), kK), gt);
+  }
+  streamed_recall /= kEval;
+  rebuilt_recall /= kEval;
+  EXPECT_GE(streamed_recall, rebuilt_recall - 0.02)
+      << "streamed " << streamed_recall << " vs rebuilt " << rebuilt_recall;
+  EXPECT_GT(rebuilt_recall, 0.5);  // the comparison is not between zeros
 }
 
 TEST(ConcurrentCollectionTest, ReadersStayCoherentUnderWriter) {

@@ -602,6 +602,8 @@ TEST_F(DurabilityOpenTest, TornWalTailOnLiveSegmentIsRecoveredFrom) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->size(), 21u);
   EXPECT_EQ(DigestOf(*reopened.value()), digest);
+  // The upsert after the seed checkpoint came back through WAL replay.
+  EXPECT_GE(reopened.value()->Durability().replayed_records, 1u);
 }
 
 // ------------------------------------------------------- compaction -------

@@ -1,15 +1,20 @@
 // Tests for the network serving front-end (src/serve/): wire-format
-// round-trips and hardening (truncated frames, oversize length prefixes,
-// bad checksums, unknown ops, mid-frame disconnects), the micro-batching
-// coalescer's window/cap/deadline/backpressure contract, and end-to-end
-// server behavior over loopback TCP — including that a dying client
-// leaves its batch peers unaffected and that shutdown drains held
-// requests. The TSan CI job runs the Coalescer*/Serve* suites.
+// round-trips and hardening (every request decoder fed every truncated
+// payload, oversize length prefixes, bad checksums, unknown ops,
+// mid-frame disconnects), the search admission contract (shed, deadline,
+// oversize batch, drain), and end-to-end server behavior over loopback
+// TCP — including that a dying client leaves its peers unaffected and
+// that shutdown drains queued requests. Admission cases hold the query
+// executor's only worker with a latch task, so queued searches wait
+// without any timing. The TSan and ASan CI jobs run the Serve* suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,7 +26,6 @@
 #include "dataset/synthetic.h"
 #include "exec/task_executor.h"
 #include "serve/client.h"
-#include "serve/coalescer.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -29,8 +33,6 @@
 
 namespace dblsh::serve {
 namespace {
-
-using Clock = Coalescer::Clock;
 
 /// A plain top-k request (every other field at its default).
 QueryRequest TopK(size_t k) {
@@ -49,17 +51,6 @@ std::unique_ptr<Collection> SmallCollection(size_t n = 200, size_t dim = 8) {
       std::make_unique<FloatMatrix>(SmallData(n, dim)));
   EXPECT_TRUE(made.ok()) << made.status().ToString();
   return std::move(made).value();
-}
-
-// Polls until `count` reaches `want` (callbacks fire on executor threads).
-void AwaitCount(const std::atomic<int>& count, int want,
-                int timeout_ms = 5000) {
-  const auto give_up =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (count.load() < want && Clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(count.load(), want) << "timed out waiting for callbacks";
 }
 
 bool SameIds(const std::vector<Neighbor>& a, const std::vector<Neighbor>& b) {
@@ -180,259 +171,62 @@ TEST(ServeProtocolTest, PutStringTruncatesOversizeInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescer.
+// Server, end to end over loopback.
 
-class CoalescerTest : public ::testing::Test {
- protected:
-  CoalescerTest()
-      : data_(SmallData()),
-        collection_(SmallCollection()),
-        flush_pool_(1),
-        query_pool_(2) {}
-
-  std::unique_ptr<Coalescer> Make(const CoalescerOptions& options) {
-    return std::make_unique<Coalescer>(&flush_pool_, &query_pool_, options);
+// A 1-worker query executor whose only worker is held by a latch task
+// until Release(): searches admitted behind it stay queued, with no
+// timing involved. The constructor returns once the latch task is
+// running, so a draining Shutdown() that lends its thread to the pool
+// runs the queued searches but can never pick up the latch itself.
+class GatedExecutor {
+ public:
+  GatedExecutor() {
+    pool_.Schedule([this] {
+      std::unique_lock lock(mutex_);
+      running_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    });
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return running_; });
   }
+  ~GatedExecutor() { Release(); }
 
-  std::vector<float> Query(size_t i = 0) const {
-    const float* row = data_.row(i);
-    return {row, row + data_.cols()};
+  void Release() {
+    std::lock_guard lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
   }
+  exec::TaskExecutor* pool() { return &pool_; }
 
-  FloatMatrix data_;  ///< same seed as the collection's seed rows
-  std::unique_ptr<Collection> collection_;
-  exec::TaskExecutor flush_pool_;
-  exec::TaskExecutor query_pool_;
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool running_ = false;
+  bool released_ = false;
+  exec::TaskExecutor pool_{1};  ///< last: joins before the latch state dies
 };
 
-TEST_F(CoalescerTest, CoalescesConcurrentSubmitsIntoOneBatch) {
-  auto coalescer = Make({.window_us = 50000, .max_batch = 32});
-  QueryRequest request = TopK(5);
-  std::atomic<int> done{0};
-  std::mutex mu;
-  std::vector<uint32_t> batch_sizes;
-  std::vector<QueryResponse> responses(6);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(i), request,
-                             Clock::time_point::max(),
-                             [&, i](const Status& s, QueryResponse r,
-                                    uint32_t batch_size) {
-                               ASSERT_TRUE(s.ok()) << s.ToString();
-                               std::lock_guard lock(mu);
-                               responses[i] = std::move(r);
-                               batch_sizes.push_back(batch_size);
-                               ++done;
-                             })
-                    .ok());
+// Polls `condition` for up to 5 s: server counters move on io threads.
+bool Eventually(const std::function<bool()>& condition) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  AwaitCount(done, 6);
-  for (uint32_t b : batch_sizes) EXPECT_EQ(b, 6u);
-  const CoalescerStats stats = coalescer->stats();
-  EXPECT_EQ(stats.admitted, 6u);
-  EXPECT_EQ(stats.batches_dispatched, 1u);
-  EXPECT_EQ(stats.batched_queries, 6u);
-  EXPECT_EQ(stats.max_batch_size, 6u);
-  // Coalesced answers must equal direct single-query answers.
-  for (int i = 0; i < 6; ++i) {
-    auto direct = collection_->Search(Query(i).data(), request);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_TRUE(SameIds(responses[i].neighbors, direct.value().neighbors));
-  }
+  return true;
 }
-
-TEST_F(CoalescerTest, BatchCapFlushesEarly) {
-  auto coalescer = Make({.window_us = 10000000, .max_batch = 2});
-  std::atomic<int> done{0};
-  const auto t0 = Clock::now();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(i), QueryRequest{},
-                             Clock::time_point::max(),
-                             [&](const Status& s, QueryResponse,
-                                 uint32_t batch_size) {
-                               EXPECT_TRUE(s.ok());
-                               EXPECT_EQ(batch_size, 2u);
-                               ++done;
-                             })
-                    .ok());
-  }
-  AwaitCount(done, 4);
-  // Dispatched at the cap, not after the 10-second window.
-  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
-  EXPECT_EQ(coalescer->stats().batches_dispatched, 2u);
-}
-
-TEST_F(CoalescerTest, IncompatibleRequestsDoNotShareBatches) {
-  auto coalescer = Make({.window_us = 20000});
-  std::atomic<int> done{0};
-  for (const size_t k : {size_t{3}, size_t{5}}) {
-    ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(), TopK(k),
-                             Clock::time_point::max(),
-                             [&, k](const Status& s, QueryResponse r,
-                                    uint32_t batch_size) {
-                               EXPECT_TRUE(s.ok());
-                               EXPECT_EQ(r.neighbors.size(), k);
-                               EXPECT_EQ(batch_size, 1u);
-                               ++done;
-                             })
-                    .ok());
-  }
-  AwaitCount(done, 2);
-  EXPECT_EQ(coalescer->stats().batches_dispatched, 2u);
-}
-
-TEST_F(CoalescerTest, FilteredRequestBypassesTheWindow) {
-  auto coalescer = Make({.window_us = 10000000});
-  QueryRequest request;
-  request.filter = QueryFilter::Deny({0});
-  std::atomic<int> done{0};
-  const auto t0 = Clock::now();
-  ASSERT_TRUE(coalescer
-                  ->Submit(collection_.get(), Query(), request,
-                           Clock::time_point::max(),
-                           [&](const Status& s, QueryResponse r,
-                               uint32_t batch_size) {
-                             EXPECT_TRUE(s.ok());
-                             EXPECT_EQ(batch_size, 1u);
-                             for (const auto& nb : r.neighbors) {
-                               EXPECT_NE(nb.id, 0u);
-                             }
-                             ++done;
-                           })
-                  .ok());
-  AwaitCount(done, 1);
-  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
-}
-
-TEST_F(CoalescerTest, ExpiredDeadlineIsRejectedAtAdmission) {
-  auto coalescer = Make({});
-  bool callback_ran = false;
-  const Status s = coalescer->Submit(
-      collection_.get(), Query(), QueryRequest{},
-      Clock::now() - std::chrono::milliseconds(1),
-      [&](const Status&, QueryResponse, uint32_t) { callback_ran = true; });
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(callback_ran);
-  EXPECT_EQ(coalescer->stats().rejected_deadline, 1u);
-  EXPECT_EQ(coalescer->stats().admitted, 0u);
-}
-
-TEST_F(CoalescerTest, DeadlineExpiringInWindowSkipsExecution) {
-  auto coalescer = Make({.window_us = 5000000});
-  std::atomic<int> done{0};
-  ASSERT_TRUE(coalescer
-                  ->Submit(collection_.get(), Query(), QueryRequest{},
-                           Clock::now() + std::chrono::milliseconds(5),
-                           [&](const Status& s, QueryResponse,
-                               uint32_t batch_size) {
-                             EXPECT_EQ(s.code(),
-                                       StatusCode::kDeadlineExceeded);
-                             EXPECT_EQ(batch_size, 0u);
-                             ++done;
-                           })
-                  .ok());
-  AwaitCount(done, 1);
-  // The query never reached the index.
-  EXPECT_EQ(coalescer->stats().batched_queries, 0u);
-  EXPECT_GE(coalescer->stats().rejected_deadline, 1u);
-}
-
-TEST_F(CoalescerTest, ShedsWithRetryableStatusAtMaxInflight) {
-  auto coalescer = Make(
-      {.window_us = 200000, .max_batch = 32, .max_inflight = 2});
-  std::atomic<int> done{0};
-  auto ok_callback = [&](const Status& s, QueryResponse, uint32_t) {
-    EXPECT_TRUE(s.ok());
-    ++done;
-  };
-  ASSERT_TRUE(coalescer
-                  ->Submit(collection_.get(), Query(0), QueryRequest{},
-                           Clock::time_point::max(), ok_callback)
-                  .ok());
-  ASSERT_TRUE(coalescer
-                  ->Submit(collection_.get(), Query(1), QueryRequest{},
-                           Clock::time_point::max(), ok_callback)
-                  .ok());
-  const Status shed = coalescer->Submit(
-      collection_.get(), Query(2), QueryRequest{}, Clock::time_point::max(),
-      [&](const Status&, QueryResponse, uint32_t) { FAIL(); });
-  EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(shed.retryable());
-  EXPECT_EQ(coalescer->stats().shed_overload, 1u);
-  coalescer->Drain();
-  AwaitCount(done, 2);
-}
-
-TEST_F(CoalescerTest, DrainFlushesHeldQueriesAndStopsIntake) {
-  auto coalescer = Make({.window_us = 10000000});
-  std::atomic<int> done{0};
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(i), QueryRequest{},
-                             Clock::time_point::max(),
-                             [&](const Status& s, QueryResponse, uint32_t) {
-                               EXPECT_TRUE(s.ok());
-                               ++done;
-                             })
-                    .ok());
-  }
-  coalescer->Drain();
-  EXPECT_EQ(done.load(), 3);  // Drain returns only after completion
-  EXPECT_EQ(coalescer->inflight(), 0u);
-  const Status refused = coalescer->Submit(
-      collection_.get(), Query(), QueryRequest{}, Clock::time_point::max(),
-      [](const Status&, QueryResponse, uint32_t) {});
-  EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
-}
-
-TEST_F(CoalescerTest, SubmitBatchDispatchesWithoutWindowHold) {
-  auto coalescer = Make({.window_us = 10000000});
-  FloatMatrix queries(4, collection_->dim());
-  for (size_t i = 0; i < 4; ++i) {
-    const auto q = Query(i);
-    std::copy(q.begin(), q.end(), queries.mutable_row(i));
-  }
-  QueryRequest request = TopK(3);
-  std::atomic<int> done{0};
-  const auto t0 = Clock::now();
-  ASSERT_TRUE(coalescer
-                  ->SubmitBatch(collection_.get(), queries, request,
-                                Clock::time_point::max(),
-                                [&](const Status& s,
-                                    std::vector<QueryResponse> responses) {
-                                  EXPECT_TRUE(s.ok());
-                                  EXPECT_EQ(responses.size(), 4u);
-                                  ++done;
-                                })
-                  .ok());
-  AwaitCount(done, 1);
-  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
-  EXPECT_EQ(coalescer->stats().batched_queries, 4u);
-}
-
-TEST_F(CoalescerTest, DestructorDrainsHeldQueries) {
-  std::atomic<int> done{0};
-  {
-    auto coalescer = Make({.window_us = 10000000});
-    ASSERT_TRUE(coalescer
-                    ->Submit(collection_.get(), Query(), QueryRequest{},
-                             Clock::time_point::max(),
-                             [&](const Status& s, QueryResponse, uint32_t) {
-                               EXPECT_TRUE(s.ok());
-                               ++done;
-                             })
-                    .ok());
-  }
-  EXPECT_EQ(done.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Server, end to end over loopback.
 
 class ServeServerTest : public ::testing::Test {
  protected:
+  /// `options` with searches routed through a fresh GatedExecutor.
+  ServerOptions Gated(ServerOptions options = {}) {
+    gate_ = std::make_unique<GatedExecutor>();
+    options.query_executor = gate_->pool();
+    return options;
+  }
+
   void StartServer(ServerOptions options = {}) {
     data_ = SmallData();
     collection_ = SmallCollection();
@@ -457,6 +251,7 @@ class ServeServerTest : public ::testing::Test {
 
   FloatMatrix data_;  ///< same seed as the collection's seed rows
   std::unique_ptr<Collection> collection_;
+  std::unique_ptr<GatedExecutor> gate_;  ///< outlives server_
   std::unique_ptr<Server> server_;
 };
 
@@ -469,12 +264,16 @@ TEST_F(ServeServerTest, PingAndSearchRoundTrip) {
   const auto q = Query(3);
   auto reply = client->Search("main", q.data(), q.size(), request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_GE(reply.value().batch_size, 1u);
+  EXPECT_EQ(reply.value().batch_size, 1u);  // each Search runs on its own
   auto direct = collection_->Search(q.data(), request);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(
       SameIds(reply.value().response.neighbors, direct.value().neighbors));
   EXPECT_GT(reply.value().response.stats.candidates_verified, 0u);
+  const ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.batches_dispatched, 1u);
+  EXPECT_EQ(stats.batched_queries, 1u);
+  EXPECT_EQ(stats.mean_batch_size, 1.0);
 }
 
 TEST_F(ServeServerTest, SearchBatchUpsertDeleteStatsRoundTrip) {
@@ -521,7 +320,11 @@ TEST_F(ServeServerTest, SearchBatchUpsertDeleteStatsRoundTrip) {
   EXPECT_EQ(stats.value().collections[0].live_vectors, collection_->size());
   EXPECT_EQ(stats.value().server.upserts, 2u);
   EXPECT_EQ(stats.value().server.deletes, 2u);
-  EXPECT_GE(stats.value().server.searches, 4u);
+  EXPECT_EQ(stats.value().server.searches, 4u);
+  // One SearchBatch call of 3 queries plus one Search call.
+  EXPECT_EQ(stats.value().server.batches_dispatched, 2u);
+  EXPECT_EQ(stats.value().server.batched_queries, 4u);
+  EXPECT_EQ(stats.value().server.max_batch_size, 3u);
 }
 
 TEST_F(ServeServerTest, UnknownCollectionAndDimMismatchAreTyped) {
@@ -535,73 +338,112 @@ TEST_F(ServeServerTest, UnknownCollectionAndDimMismatchAreTyped) {
   EXPECT_EQ(client->Delete("nope", 0).code(), StatusCode::kNotFound);
 }
 
-TEST_F(ServeServerTest, PipelinedSearchesCoalesceIntoBatches) {
+// A batch larger than max_inflight can never be admitted: it is refused
+// as a non-retryable InvalidArgument naming the cap, not shed as a
+// retryable overload that a client would resend forever.
+TEST_F(ServeServerTest, BatchLargerThanMaxInflightIsInvalidArgument) {
   ServerOptions options;
-  options.coalescer.window_us = 50000;  // generous window on a 1-CPU box
+  options.max_inflight = 4;
   StartServer(options);
   auto client = MakeClient();
-
-  QueryRequest request = TopK(5);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 8; ++i) {
+  FloatMatrix queries(5, collection_->dim());
+  for (size_t i = 0; i < 5; ++i) {
     const auto q = Query(i);
-    auto sent = client->SendSearch("main", q.data(), q.size(), request);
-    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
-    ids.push_back(sent.value());
+    std::copy(q.begin(), q.end(), queries.mutable_row(i));
   }
-  uint32_t max_batch = 0;
-  for (int i = 0; i < 8; ++i) {
-    auto got = client->ReceiveSearchReply();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(got.value().status.ok()) << got.value().status.ToString();
-    max_batch = std::max(max_batch, got.value().reply.batch_size);
-  }
-  // The acceptance bar: concurrent loopback searches demonstrably batch.
-  EXPECT_GE(max_batch, 2u);
-  const ServerStats stats = server_->Stats();
-  EXPECT_GE(stats.max_batch_size, 2u);
-  EXPECT_GE(stats.mean_batch_size, 2.0);
+  auto refused = client->SearchBatch("main", queries, TopK(3));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  EXPECT_FALSE(refused.status().retryable());
+  EXPECT_NE(refused.status().message().find("max_inflight"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(server_->Stats().shed_overload, 0u);
+
+  auto at_cap = client->SearchBatch("main", queries.Prefix(4), TopK(3));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().size(), 4u);
 }
 
 TEST_F(ServeServerTest, ExpiredDeadlineIsRejectedWithoutExecution) {
-  StartServer();
+  StartServer(Gated());
   auto client = MakeClient();
   const auto q = Query();
-  auto reply =
-      client->Search("main", q.data(), q.size(), {}, /*deadline_us=*/1);
-  EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(server_->Stats().rejected_deadline, 1u);
+  auto sent = client->SendSearch("main", q.data(), q.size(), {},
+                                 /*deadline_us=*/1);
+  ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+  // Stats() reads `searches` before it takes the admission lock, so once
+  // it counts the search, admission has queued it behind the latch (or
+  // already rejected it). Either way it cannot start before its 1 us is
+  // gone.
+  ASSERT_TRUE(Eventually([&] { return server_->Stats().searches >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate_->Release();
+  auto got = client->ReceiveSearchReply();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().request_id, sent.value());
+  EXPECT_EQ(got.value().status.code(), StatusCode::kDeadlineExceeded);
+  const ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  EXPECT_EQ(stats.batched_queries, 0u);  // the index was never touched
   // The connection stays healthy and an undeadlined search still works.
   auto ok = client->Search("main", q.data(), q.size(), {});
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
+TEST_F(ServeServerTest, DeadlineExpiringInQueueSkipsExecution) {
+  StartServer(Gated());
+  auto client = MakeClient();
+  const auto q = Query();
+  constexpr uint32_t kBudgetUs = 100000;
+  auto sent = client->SendSearch("main", q.data(), q.size(), {}, kBudgetUs);
+  ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+  // The reader answers this Ping after it admitted the search, which
+  // then waits behind the latch while its budget runs out.
+  ASSERT_TRUE(client->Ping().ok());
+  std::this_thread::sleep_for(std::chrono::microseconds(kBudgetUs));
+  gate_->Release();
+  auto got = client->ReceiveSearchReply();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().request_id, sent.value());
+  EXPECT_EQ(got.value().status.code(), StatusCode::kDeadlineExceeded)
+      << got.value().status.ToString();
+  const ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  EXPECT_EQ(stats.batches_dispatched, 0u);
+  EXPECT_EQ(stats.batched_queries, 0u);
+}
+
 TEST_F(ServeServerTest, OverloadShedsWithRetryableStatus) {
-  ServerOptions options;
-  options.coalescer.max_inflight = 1;
-  options.coalescer.window_us = 100000;
+  ServerOptions options = Gated();
+  options.max_inflight = 1;
   StartServer(options);
   auto client = MakeClient();
 
   const auto q = Query();
+  std::vector<uint64_t> ids;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client->SendSearch("main", q.data(), q.size(), {}).ok());
+    auto sent = client->SendSearch("main", q.data(), q.size(), {});
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ids.push_back(sent.value());
   }
-  int ok = 0, shed = 0;
-  for (int i = 0; i < 4; ++i) {
+  // The first search holds the only slot behind the latch, so the other
+  // three are answered first: shed, retryable.
+  for (int i = 1; i < 4; ++i) {
     auto got = client->ReceiveSearchReply();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    if (got.value().status.ok()) {
-      ++ok;
-    } else {
-      EXPECT_TRUE(got.value().status.retryable())
-          << got.value().status.ToString();
-      ++shed;
-    }
+    EXPECT_EQ(got.value().request_id, ids[i]);
+    EXPECT_EQ(got.value().status.code(), StatusCode::kUnavailable);
+    EXPECT_TRUE(got.value().status.retryable())
+        << got.value().status.ToString();
   }
-  EXPECT_GE(ok, 1);
-  EXPECT_GE(shed, 1);
-  EXPECT_GE(server_->Stats().shed_overload, 1u);
+  gate_->Release();
+  auto first = client->ReceiveSearchReply();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().request_id, ids[0]);
+  EXPECT_TRUE(first.value().status.ok()) << first.value().status.ToString();
+  EXPECT_EQ(server_->Stats().shed_overload, 3u);
 }
 
 TEST_F(ServeServerTest, ConnectionCapShedsWithRetryableFrame) {
@@ -801,29 +643,124 @@ TEST_F(ServeServerTest, UnknownOpCodeIsAnsweredAndTheConnectionSurvives) {
   CloseFd(fd.value());
 }
 
-TEST_F(ServeServerTest, TruncatedPayloadIsAnsweredProtocolError) {
+// Every request decoder, fed every strict prefix of a valid payload in a
+// checksum-valid frame, answers kProtocolError on the same request id —
+// never a crash, a hang or a dropped connection — and a Ping on the same
+// socket still succeeds afterwards. Each full payload decodes (whatever
+// status it then gets), so every prefix is cut from a request the server
+// parses.
+TEST_F(ServeServerTest, EveryTruncatedRequestIsAnsweredProtocolError) {
   StartServer();
+  const auto q = Query();
+  const auto put_head = [](std::vector<uint8_t>* p) {
+    wire::PutString(p, "main");
+    wire::PutU32(p, 5);      // k
+    wire::PutU32(p, 0);      // deadline_us
+    wire::PutU32(p, 0);      // candidate_budget
+    wire::PutF64(p, 0.0);    // r0
+  };
+  const auto put_floats = [&](std::vector<uint8_t>* p) {
+    for (float v : q) wire::PutF32(p, v);
+  };
+  struct Case {
+    OpCode op;
+    std::vector<uint8_t> payload;
+  };
+  std::vector<Case> cases;
+  {
+    Case search{OpCode::kSearch, {}};
+    put_head(&search.payload);
+    wire::PutU32(&search.payload, static_cast<uint32_t>(q.size()));
+    put_floats(&search.payload);
+    cases.push_back(search);
+  }
+  {
+    Case batch{OpCode::kSearchBatch, {}};
+    put_head(&batch.payload);
+    wire::PutU32(&batch.payload, 2);  // num
+    wire::PutU32(&batch.payload, static_cast<uint32_t>(q.size()));
+    put_floats(&batch.payload);
+    put_floats(&batch.payload);
+    cases.push_back(batch);
+  }
+  {
+    Case upsert{OpCode::kUpsert, {}};
+    wire::PutString(&upsert.payload, "main");
+    wire::PutU8(&upsert.payload, 1);  // has_id
+    wire::PutU32(&upsert.payload, 7);
+    wire::PutU32(&upsert.payload, static_cast<uint32_t>(q.size()));
+    put_floats(&upsert.payload);
+    cases.push_back(upsert);
+  }
+  {
+    Case del{OpCode::kDelete, {}};
+    wire::PutString(&del.payload, "main");
+    wire::PutU32(&del.payload, 3);
+    cases.push_back(del);
+  }
+  {
+    Case checkpoint{OpCode::kCheckpoint, {}};
+    wire::PutString(&checkpoint.payload, "main");
+    cases.push_back(checkpoint);
+  }
+  {
+    Case subscribe{OpCode::kSubscribe, {}};
+    wire::PutString(&subscribe.payload, "main");
+    wire::PutU32(&subscribe.payload, 0);  // shard
+    wire::PutU64(&subscribe.payload, 0);  // from_lsn
+    wire::PutU8(&subscribe.payload, 0);   // need_snapshot
+    cases.push_back(subscribe);
+  }
+  {
+    Case status{OpCode::kReplicaStatus, {}};
+    wire::PutString(&status.payload, "main");
+    cases.push_back(status);
+  }
+
   auto fd = ConnectTcp("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
-  // A checksum-valid Search frame whose payload is one truncated string.
-  std::vector<uint8_t> payload;
-  wire::PutU16(&payload, 500);  // name length prefix with no body
-  const auto frame = EncodeFrame(OpCode::kSearch, 31, payload);
-  ASSERT_TRUE(WriteFull(fd.value(), frame.data(), frame.size()).ok());
+  uint64_t request_id = 100;
+  uint64_t prefixes = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("op " + std::to_string(static_cast<unsigned>(c.op)));
+    for (size_t len = 0; len <= c.payload.size(); ++len) {
+      const std::vector<uint8_t> prefix(c.payload.begin(),
+                                        c.payload.begin() + len);
+      const uint64_t id = ++request_id;
+      const auto frame = EncodeFrame(c.op, id, prefix);
+      ASSERT_TRUE(WriteFull(fd.value(), frame.data(), frame.size()).ok());
+      FrameHeader header;
+      std::vector<uint8_t> response;
+      ASSERT_TRUE(ReadRawFrame(fd.value(), &header, &response).ok())
+          << "prefix of " << len << " bytes";
+      EXPECT_EQ(header.request_id, id);
+      EXPECT_TRUE(header.op == c.op);
+      if (len < c.payload.size()) {
+        ++prefixes;
+        EXPECT_EQ(StatusOf(response), WireStatus::kProtocolError)
+            << "prefix of " << len << " bytes";
+      } else {
+        EXPECT_NE(StatusOf(response), WireStatus::kProtocolError)
+            << "the full payload must decode";
+      }
+    }
+  }
+  const auto ping = EncodeFrame(OpCode::kPing, 1, {});
+  ASSERT_TRUE(WriteFull(fd.value(), ping.data(), ping.size()).ok());
   FrameHeader header;
   std::vector<uint8_t> response;
   ASSERT_TRUE(ReadRawFrame(fd.value(), &header, &response).ok());
-  EXPECT_EQ(StatusOf(response), WireStatus::kProtocolError);
+  EXPECT_EQ(header.request_id, 1u);
+  EXPECT_EQ(StatusOf(response), WireStatus::kOk);
   CloseFd(fd.value());
+  EXPECT_EQ(server_->Stats().protocol_errors, prefixes);
 }
 
 TEST_F(ServeServerTest, MidFrameDisconnectLeavesPeersUnaffected) {
-  ServerOptions options;
-  options.coalescer.window_us = 100000;
-  StartServer(options);
+  StartServer(Gated());
 
-  // Peer A dies twice over: once mid-frame, once with a request in the
-  // coalescer window whose response will hit a closed socket.
+  // Peer A dies twice over: once mid-frame, once with a search queued
+  // whose response will hit a closed socket.
   {
     auto fd = ConnectTcp("127.0.0.1", server_->port());
     ASSERT_TRUE(fd.ok());
@@ -834,33 +771,210 @@ TEST_F(ServeServerTest, MidFrameDisconnectLeavesPeersUnaffected) {
   auto dying = MakeClient();
   const auto q = Query();
   ASSERT_TRUE(dying->SendSearch("main", q.data(), q.size(), {}).ok());
-  dying.reset();  // gone before its coalesced batch dispatches
+  ASSERT_TRUE(dying->Ping().ok());  // the search is admitted and queued
+  dying.reset();      // gone before its search runs
+  gate_->Release();   // its response now goes to a closed socket
 
   auto client = MakeClient();
   auto reply = client->Search("main", q.data(), q.size(), TopK(3));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply.value().response.neighbors.size(), 3u);
-  EXPECT_GE(server_->Stats().protocol_errors, 1u);
+  EXPECT_TRUE(
+      Eventually([&] { return server_->Stats().protocol_errors >= 1; }));
 }
 
 TEST_F(ServeServerTest, ShutdownDrainsHeldRequests) {
-  ServerOptions options;
-  options.coalescer.window_us = 300000;
-  StartServer(options);
+  StartServer(Gated());
   auto client = MakeClient();
 
   const auto q = Query();
   ASSERT_TRUE(client->SendSearch("main", q.data(), q.size(), {}).ok());
-  // Give the reader time to admit the request into the window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server_->Shutdown();  // must flush the window, not abandon the request
+  ASSERT_TRUE(client->Ping().ok());  // admitted and queued behind the latch
+  // The executor's only worker stays latched, so Shutdown can only finish
+  // by running the queued search on its own thread.
+  server_->Shutdown();
 
   auto got = client->ReceiveSearchReply();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got.value().status.ok()) << got.value().status.ToString();
+  EXPECT_EQ(server_->Stats().batched_queries, 1u);
   // After shutdown the server side is closed.
   EXPECT_FALSE(client->Ping().ok());
   server_->Shutdown();  // idempotent
+}
+
+// ---------------------------------------------------------------------------
+// Search admission, the contract the request coalescer carried before every
+// search dispatched at once: the suite keeps its name and checks the same
+// contract (deadline, shed, drain, one call per request) through Server.
+
+class CoalescerTest : public ServeServerTest {
+ protected:
+  FloatMatrix Rows(size_t n) const {
+    FloatMatrix queries(n, collection_->dim());
+    for (size_t i = 0; i < n; ++i) {
+      const auto q = Query(i);
+      std::copy(q.begin(), q.end(), queries.mutable_row(i));
+    }
+    return queries;
+  }
+};
+
+// A SearchBatch whose budget is gone before it can run is refused whole:
+// every one of its queries counts as rejected and none touches the index.
+TEST_F(CoalescerTest, ExpiredDeadlineIsRejectedAtAdmission) {
+  StartServer(Gated());
+  auto client = MakeClient();
+  const FloatMatrix queries = Rows(3);
+  // The batch call blocks until its reply, so the latch is lifted from a
+  // helper once admission has seen the batch and its 1 us is gone.
+  std::thread release([&] {
+    EXPECT_TRUE(Eventually([&] { return server_->Stats().searches >= 3; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    gate_->Release();
+  });
+  auto refused =
+      client->SearchBatch("main", queries, TopK(3), /*deadline_us=*/1);
+  release.join();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDeadlineExceeded)
+      << refused.status().ToString();
+  ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.rejected_deadline, 3u);
+  EXPECT_EQ(stats.batches_dispatched, 0u);
+  EXPECT_EQ(stats.batched_queries, 0u);
+
+  auto ok = client->SearchBatch("main", queries, TopK(3));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().size(), 3u);
+  stats = server_->Stats();
+  EXPECT_EQ(stats.rejected_deadline, 3u);
+  EXPECT_EQ(stats.batched_queries, 3u);
+}
+
+// A batch that fits max_inflight on its own but not beside the queries
+// already in flight is shed retryable, and admitted once they complete.
+TEST_F(CoalescerTest, ShedsWithRetryableStatusAtMaxInflight) {
+  ServerOptions options = Gated();
+  options.max_inflight = 4;
+  StartServer(options);
+  auto holder = MakeClient();
+  const auto q = Query();
+  auto held = holder->SendSearch("main", q.data(), q.size(), TopK(3));
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(holder->Ping().ok());  // admitted: one slot taken
+
+  auto client = MakeClient();
+  const FloatMatrix queries = Rows(4);
+  auto shed = client->SearchBatch("main", queries, TopK(3));
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable)
+      << shed.status().ToString();
+  EXPECT_TRUE(shed.status().retryable()) << shed.status().ToString();
+  EXPECT_EQ(server_->Stats().shed_overload, 4u);
+
+  gate_->Release();
+  auto first = holder->ReceiveSearchReply();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().request_id, held.value());
+  EXPECT_TRUE(first.value().status.ok()) << first.value().status.ToString();
+  auto retried = client->SearchBatch("main", queries, TopK(3));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value().size(), 4u);
+  EXPECT_EQ(server_->Stats().shed_overload, 4u);
+}
+
+// Shutdown answers every query queued on every connection, with the
+// executor's only worker still latched, then takes no more requests.
+TEST_F(CoalescerTest, DrainFlushesHeldQueriesAndStopsIntake) {
+  StartServer(Gated());
+  std::vector<std::unique_ptr<Client>> clients;
+  clients.push_back(MakeClient());
+  clients.push_back(MakeClient());
+  std::vector<std::vector<uint64_t>> sent(clients.size());
+  for (size_t c = 0; c < clients.size(); ++c) {
+    for (size_t i = 0; i < 2; ++i) {
+      const auto q = Query(c * 2 + i);
+      auto id = clients[c]->SendSearch("main", q.data(), q.size(), TopK(3));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      sent[c].push_back(id.value());
+    }
+    ASSERT_TRUE(clients[c]->Ping().ok());  // both admitted and queued
+  }
+  server_->Shutdown();
+
+  for (size_t c = 0; c < clients.size(); ++c) {
+    std::vector<uint64_t> answered;
+    for (size_t i = 0; i < 2; ++i) {
+      auto got = clients[c]->ReceiveSearchReply();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got.value().status.ok()) << got.value().status.ToString();
+      EXPECT_EQ(got.value().reply.response.neighbors.size(), 3u);
+      answered.push_back(got.value().request_id);
+    }
+    std::sort(answered.begin(), answered.end());
+    EXPECT_EQ(answered, sent[c]);
+    EXPECT_FALSE(clients[c]->Ping().ok());
+  }
+  EXPECT_EQ(server_->Stats().batched_queries, 4u);
+  // The acceptor closes its socket within one poll interval.
+  EXPECT_TRUE(Eventually(
+      [&] { return !Client::Connect("127.0.0.1", server_->port()).ok(); }));
+}
+
+// Destroying the server without Shutdown() drains the same way: a queued
+// search is answered with its real result before the sockets close.
+TEST_F(CoalescerTest, DestructorDrainsHeldQueries) {
+  StartServer(Gated());
+  auto client = MakeClient();
+  const auto q = Query(5);
+  auto sent = client->SendSearch("main", q.data(), q.size(), TopK(4));
+  ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+  ASSERT_TRUE(client->Ping().ok());  // admitted and queued behind the latch
+  server_.reset();
+
+  auto got = client->ReceiveSearchReply();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().request_id, sent.value());
+  ASSERT_TRUE(got.value().status.ok()) << got.value().status.ToString();
+  auto direct = collection_->Search(q.data(), TopK(4));
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(SameIds(got.value().reply.response.neighbors,
+                      direct.value().neighbors));
+  EXPECT_FALSE(client->Ping().ok());
+}
+
+// Each request is one dispatched call: pipelined searches never share
+// one, and a SearchBatch is one call of all its rows.
+TEST_F(CoalescerTest, SubmitBatchDispatchesWithoutWindowHold) {
+  StartServer();
+  auto pipelined = MakeClient();
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < 8; ++i) {
+    const auto q = Query(i);
+    auto sent = pipelined->SendSearch("main", q.data(), q.size(), TopK(3));
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ids.push_back(sent.value());
+  }
+  auto batcher = MakeClient();
+  auto batch = batcher->SearchBatch("main", Rows(5), TopK(3));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value().size(), 5u);
+  std::vector<uint64_t> answered;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto got = pipelined->ReceiveSearchReply();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got.value().status.ok()) << got.value().status.ToString();
+    EXPECT_EQ(got.value().reply.batch_size, 1u);
+    answered.push_back(got.value().request_id);
+  }
+  std::sort(answered.begin(), answered.end());
+  EXPECT_EQ(answered, ids);
+
+  const ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.batches_dispatched, 9u);
+  EXPECT_EQ(stats.batched_queries, 13u);
+  EXPECT_EQ(stats.max_batch_size, 5u);
 }
 
 TEST(ServeServerStartTest, RejectsBadCollectionSets) {
