@@ -9,18 +9,6 @@ namespace dblsh {
 
 namespace detail {
 
-void FanOut(size_t count, size_t num_threads,
-            const std::function<std::function<void(size_t)>()>& make_worker) {
-  if (count == 0) return;
-  if (num_threads <= 1) {
-    const std::function<void(size_t)> work = make_worker();
-    for (size_t i = 0; i < count; ++i) work(i);
-    return;
-  }
-  exec::TaskExecutor::Default().ParallelForWorkers(count, num_threads,
-                                                   make_worker);
-}
-
 Status ValidateRebind(const std::string& method, const FloatMatrix* current,
                       const FloatMatrix* target) {
   if (current == nullptr) {
@@ -92,11 +80,10 @@ std::vector<QueryResponse> AnnIndex::QueryBatch(const FloatMatrix& queries,
   }
   num_threads = std::min(num_threads, q_count);
 
-  detail::FanOut(q_count, num_threads, [&]() {
-    return [this, &queries, &request, &responses](size_t q) {
-      responses[q] = Search(queries.row(q), request);
-    };
-  });
+  exec::TaskExecutor::Default().ParallelFor(
+      q_count,
+      [&](size_t q) { responses[q] = Search(queries.row(q), request); },
+      num_threads);
   return responses;
 }
 

@@ -2,7 +2,6 @@
 #define DBLSH_CORE_ANN_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -141,17 +140,6 @@ namespace detail {
 /// pointer swap sound — and is not re-verified here.
 Status ValidateRebind(const std::string& method, const FloatMatrix* current,
                       const FloatMatrix* target);
-
-/// Shared fan-out behind the QueryBatch implementations: runs `work(i)` for
-/// every i in [0, count) at a parallelism of `num_threads`, where
-/// `make_worker()` is called once per participating thread so each can
-/// capture its own per-thread state (e.g. a DbLsh::QueryScratch).
-/// `num_threads <= 1` runs inline. Since the executor refactor this is a
-/// thin shim over exec::TaskExecutor::Default().ParallelForWorkers — no
-/// code outside src/exec/ spawns threads.
-void FanOut(size_t count, size_t num_threads,
-            const std::function<std::function<void(size_t)>()>& make_worker);
-
 }  // namespace detail
 
 }  // namespace dblsh

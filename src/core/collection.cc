@@ -1356,31 +1356,24 @@ Result<QueryResponse> Collection::SearchShard(size_t shard_index,
                                               const float* query,
                                               const QueryRequest& request,
                                               const std::string& index_name,
-                                              bool* empty_shard) const {
+                                              Status* unroutable) const {
   const Shard& shard = *shards_[shard_index];
-  *empty_shard = false;
   std::shared_lock lock(shard.mutex);
   if (shard.slots.empty()) {
     return Status::InvalidArgument("collection has no indexes; AddIndex "
                                    "first");
   }
-  if (!index_name.empty()) {
-    // Name resolution first: an unknown name is NotFound even when this
-    // shard happens to be empty (slot lists are identical across shards).
-    const bool known = std::any_of(
-        shard.slots.begin(), shard.slots.end(),
-        [&](const Slot& slot) { return slot.name == index_name; });
-    if (!known) {
-      return Status::NotFound("collection has no index named \"" +
-                              index_name + "\"");
-    }
-  }
-  if (shard.data->live_rows() == 0) {
-    *empty_shard = true;
-    return QueryResponse{};  // nothing to contribute, not an error
-  }
   Status why = Status::OK();
   const int route = RouteLocked(shard, index_name, &why);
+  // An unknown name is NotFound even when this shard happens to be empty
+  // (slot lists are identical across shards).
+  if (why.code() == StatusCode::kNotFound) return why;
+  if (shard.data->live_rows() == 0) {
+    // Nothing to contribute, not an error. A shard with no built slot
+    // (it never held rows) fails the search only if every shard does.
+    *unroutable = why;
+    return QueryResponse{};
+  }
   if (route < 0) return why;
   const Slot& slot = shard.slots[static_cast<size_t>(route)];
 
@@ -1403,9 +1396,9 @@ Result<QueryResponse> Collection::SearchShard(size_t shard_index,
     return response;
   };
 
-  if (request.filter.empty() && effective_k == request.k) {
-    return serve(request);
-  }
+  // With one shard local ids are global ids, so the filter passes through.
+  const bool rewrite_filter = !request.filter.empty() && shards_.size() > 1;
+  if (!rewrite_filter && effective_k == request.k) return serve(request);
   // The shard's index speaks local ids; rewrite the caller's global-id
   // filter accordingly. Only the filter (and the quantized-storage k
   // inflation) changes — keep the scalar overrides in sync with
@@ -1414,11 +1407,13 @@ Result<QueryResponse> Collection::SearchShard(size_t shard_index,
   local.k = effective_k;
   local.candidate_budget = request.candidate_budget;
   local.r0 = request.r0;
-  if (!request.filter.empty()) {
+  if (rewrite_filter) {
     const QueryFilter* global = &request.filter;  // outlives the fan-out
     local.filter = QueryFilter::Of([this, global, shard_index](uint32_t lid) {
       return global->Admits(GlobalId(shard_index, lid));
     });
+  } else {
+    local.filter = request.filter;
   }
   return serve(local);
 }
@@ -1461,53 +1456,11 @@ QueryResponse Collection::MergeShardResponses(
 Result<QueryResponse> Collection::Search(const float* query,
                                          const QueryRequest& request,
                                          const std::string& index_name) const {
-  const size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    // Unsharded fast path: identical to the pre-shard Collection (plus the
-    // inflate-and-re-rank pass when storage is quantized).
-    const Shard& shard = *shards_[0];
-    std::shared_lock lock(shard.mutex);
-    Status why = Status::OK();
-    const int route = RouteLocked(shard, index_name, &why);
-    if (route < 0) return why;
-    const Slot& slot = shard.slots[static_cast<size_t>(route)];
-    QueryRequest effective = request;
-    if (quantized_) effective.k = request.k * rerank_;
-    QueryResponse response;
-    if (slot.index->SupportsConcurrentQueries()) {
-      response = slot.index->Search(query, effective);
-    } else {
-      std::lock_guard slot_lock(*slot.query_mutex);
-      response = slot.index->Search(query, effective);
-    }
-    if (quantized_) RerankLocked(shard, query, request.k, &response);
-    return response;
-  }
-
-  // Fan out one k-NN task per shard and merge.
-  std::vector<QueryResponse> responses(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-  std::vector<uint8_t> empty(num_shards, 0);
-  executor_->ParallelFor(num_shards, [&](size_t s) {
-    bool empty_shard = false;
-    auto got = SearchShard(s, query, request, index_name, &empty_shard);
-    if (got.ok()) {
-      responses[s] = std::move(got).value();
-    } else {
-      statuses[s] = got.status();
-    }
-    empty[s] = empty_shard ? 1 : 0;
-  });
-  size_t empties = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!statuses[s].ok()) return statuses[s];
-    empties += empty[s];
-  }
-  if (empties == num_shards) {
-    return Status::InvalidArgument(
-        "collection has no built index yet; Upsert data first");
-  }
-  return MergeShardResponses(std::move(responses), request.k);
+  auto got = SearchBatch(
+      FloatMatrix(1, dim_, std::vector<float>(query, query + dim_)), request,
+      index_name);
+  if (!got.ok()) return got.status();
+  return std::move(got.value()[0]);
 }
 
 Result<std::vector<QueryResponse>> Collection::SearchBatch(
@@ -1519,72 +1472,42 @@ Result<std::vector<QueryResponse>> Collection::SearchBatch(
         std::to_string(queries.cols()) + ", collection serves " +
         std::to_string(dim_));
   }
-  const size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    const Shard& shard = *shards_[0];
-    std::shared_lock lock(shard.mutex);
-    Status why = Status::OK();
-    const int route = RouteLocked(shard, index_name, &why);
-    if (route < 0) return why;
-    const Slot& slot = shard.slots[static_cast<size_t>(route)];
-    QueryRequest effective = request;
-    if (quantized_) effective.k = request.k * rerank_;
-    auto got = [&]() -> Result<std::vector<QueryResponse>> {
-      if (slot.index->SupportsConcurrentQueries()) {
-        return slot.index->QueryBatch(queries, effective, num_threads);
-      }
-      std::lock_guard slot_lock(*slot.query_mutex);
-      return slot.index->QueryBatch(queries, effective, num_threads);
-    }();
-    if (!got.ok() || !quantized_) return got;
-    std::vector<QueryResponse> responses = std::move(got).value();
-    for (size_t q = 0; q < responses.size(); ++q) {
-      RerankLocked(shard, queries.row(q), request.k, &responses[q]);
-    }
-    return responses;
-  }
-
-  const size_t q_count = queries.rows();
-  if (q_count == 0) return std::vector<QueryResponse>{};
-  if (num_threads == 0) num_threads = exec::HardwareConcurrency();
   // Grid fan-out: every (query, shard) cell is an independent task, so a
   // slow shard never stalls the other shards' progress on later queries.
+  const size_t q_count = queries.rows();
+  const size_t num_shards = shards_.size();
   std::vector<QueryResponse> cells(q_count * num_shards);
   std::vector<Status> statuses(q_count * num_shards, Status::OK());
-  std::vector<uint8_t> empty(q_count * num_shards, 0);
+  std::vector<Status> unroutable(q_count * num_shards, Status::OK());
   executor_->ParallelFor(
       q_count * num_shards,
       [&](size_t cell) {
         const size_t q = cell / num_shards;
         const size_t s = cell % num_shards;
-        bool empty_shard = false;
-        auto got =
-            SearchShard(s, queries.row(q), request, index_name, &empty_shard);
+        auto got = SearchShard(s, queries.row(q), request, index_name,
+                               &unroutable[cell]);
         if (got.ok()) {
           cells[cell] = std::move(got).value();
         } else {
           statuses[cell] = got.status();
         }
-        empty[cell] = empty_shard ? 1 : 0;
       },
       num_threads);
 
   std::vector<QueryResponse> out;
   out.reserve(q_count);
   for (size_t q = 0; q < q_count; ++q) {
-    std::vector<QueryResponse> row;
-    row.reserve(num_shards);
-    size_t empties = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const size_t cell = q * num_shards + s;
+    const size_t first = q * num_shards;
+    size_t unrouted = 0;
+    for (size_t cell = first; cell < first + num_shards; ++cell) {
       if (!statuses[cell].ok()) return statuses[cell];
-      empties += empty[cell];
-      row.push_back(std::move(cells[cell]));
+      if (!unroutable[cell].ok()) ++unrouted;
     }
-    if (empties == num_shards) {
-      return Status::InvalidArgument(
-          "collection has no built index yet; Upsert data first");
-    }
+    // InvalidArgument only when no shard had a built slot to route to.
+    if (unrouted == num_shards) return unroutable[first];
+    std::vector<QueryResponse> row(
+        std::make_move_iterator(cells.begin() + first),
+        std::make_move_iterator(cells.begin() + first + num_shards));
     out.push_back(MergeShardResponses(std::move(row), request.k));
   }
   return out;

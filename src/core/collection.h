@@ -241,16 +241,21 @@ struct CollectionDurabilityInfo {
 /// (Upsert/Delete and rebuild swap-ins) take the owning shard's exclusive
 /// lock, Search/SearchBatch take shared locks. A reader never observes a
 /// half-applied update — each mutation touches exactly one shard, so every
-/// query sees each shard exactly as some committed epoch left it. Each
-/// committed mutation advances the collection epoch counter (epoch()).
+/// query sees each shard exactly as some committed epoch left it. A
+/// SearchBatch is not an epoch snapshot, at any shard count: each
+/// (query, shard) cell takes its own shared lock, so writers may commit
+/// between cells. Each committed mutation advances the collection epoch
+/// counter (epoch()).
 /// Reads on indexes whose SupportsConcurrentQueries() is false are
 /// additionally serialized per (shard, slot) by a query mutex; DB-LSH /
 /// FB-LSH and LinearScan fan out freely.
 ///
 /// **Sharding — fan-out/merge search, contention-free writers.** With
 /// `shards = S > 1` the dataset is partitioned by id across S segments.
-/// Search fans one k-NN task per shard onto the executor and merges the
-/// per-shard top-k through a TopKHeap keyed on (distance, global id). The
+/// Every search, at every shard count, takes one path: one k-NN task per
+/// shard on the executor, then a merge of the per-shard top-k through a
+/// TopKHeap keyed on (distance, global id). With one shard the task runs
+/// inline on the caller and the merge is the identity. The
 /// merge is exact: within a shard, local id order equals global id order,
 /// so every member of the global top-k survives its shard's top-k and the
 /// merged result — ties included — is identical to what a `shards = 1`
@@ -391,18 +396,24 @@ class Collection {
   /// Serves one query from the named index, or — with `index_name` empty —
   /// from the best-capable one: the built slot with the lowest staleness
   /// (ties resolve to insertion order, so put the preferred method first).
-  /// On a sharded collection the query fans one task per shard onto the
+  /// A one-row SearchBatch: the query fans one task per shard onto the
   /// executor and the per-shard top-k merge is exact (see the class
-  /// comment). Runs under the shard shared locks: safe to call from any
-  /// number of threads concurrently with writers. NotFound for an unknown
-  /// name, InvalidArgument when no index is built yet.
+  /// comment). Runs under the shard
+  /// shared locks: safe to call from any number of threads concurrently
+  /// with writers. Empty shards contribute nothing: the answer is OK with
+  /// the merged neighbors, which may be none (e.g. after every row was
+  /// deleted), as long as some shard has a built slot to route to.
+  /// NotFound for an unknown name; InvalidArgument when no shard has a
+  /// built slot to route to (nothing was ever upserted, or the named index
+  /// is not built yet).
   Result<QueryResponse> Search(const float* query, const QueryRequest& request,
                                const std::string& index_name = "") const;
 
-  /// Batched Search over every row of `queries`; fans the (query x shard)
-  /// grid out on the executor when the serving index supports concurrent
-  /// queries. `num_threads = 0` uses hardware concurrency; pass 1 when
-  /// timing per-query latency.
+  /// Batched Search over every row of `queries`, with Search's routing and
+  /// empty-shard rule: fans the (query x shard) grid out on the executor,
+  /// at most `num_threads` cells at a time. `num_threads = 0` lets every
+  /// executor worker help the caller; pass 1 when timing per-query latency. Each cell takes its
+  /// shard's shared lock on its own, so the batch is not an epoch snapshot.
   Result<std::vector<QueryResponse>> SearchBatch(
       const FloatMatrix& queries, const QueryRequest& request,
       const std::string& index_name = "", size_t num_threads = 0) const;
@@ -701,15 +712,16 @@ class Collection {
   int RouteLocked(const Shard& shard, const std::string& index_name,
                   Status* why) const;
 
-  /// One shard's contribution to a fan-out search: routes, rewrites the
-  /// filter into local ids, and queries under the shard's shared lock.
-  /// Local ids in the response; an empty shard contributes an empty
-  /// response. `*empty_shard` reports the skip so the merge can
-  /// distinguish "nothing there" from "no results".
+  /// One shard's contribution to a search: routes, rewrites the filter
+  /// into local ids, and queries under the shard's shared lock. Local ids
+  /// in the response. An empty shard contributes an empty response; when
+  /// it also has no built slot to route to, `*unroutable` receives the
+  /// routing error, so the caller can tell "nothing there" from "no index
+  /// built anywhere".
   Result<QueryResponse> SearchShard(size_t shard_index, const float* query,
                                     const QueryRequest& request,
                                     const std::string& index_name,
-                                    bool* empty_shard) const;
+                                    Status* unroutable) const;
 
   /// Merges per-shard responses (local ids) into one global response via a
   /// TopKHeap keyed on (distance, global id); stats are summed.

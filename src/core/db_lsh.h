@@ -80,21 +80,6 @@ class DbLsh : public AnnIndex {
   /// Build(), so params() is only meaningful after a successful build.
   explicit DbLsh(DbLshParams params = DbLshParams());
 
-  /// Reusable per-caller query state (visited-point stamps). `Query()`
-  /// without a scratch uses a thread-local one, making the scratch-less
-  /// read path fully thread-safe; callers that want to control scratch
-  /// reuse across queries (eval::ParallelQuery, QueryBatch workers) pass
-  /// their own.
-  class QueryScratch {
-   public:
-    QueryScratch() = default;
-
-   private:
-    friend class DbLsh;
-    std::vector<uint32_t> visited_epoch_;
-    uint32_t epoch_ = 0;
-  };
-
   /// "DB-LSH", or "FB-LSH" under the fixed-grid ablation bucketing.
   std::string Name() const override;
   /// Derives auto parameters (w0, K, t, r0), projects the dataset into the
@@ -104,27 +89,21 @@ class DbLsh : public AnnIndex {
   /// Repoints dataset reads at an equal-content matrix (see
   /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
   Status RebindData(const FloatMatrix* data) override;
-  /// c-ANN query via the (r,c)-NN cascade. Uses a thread-local scratch, so
-  /// concurrent calls from different threads are safe.
+  /// c-ANN query via the (r,c)-NN cascade. Per-query state lives in a
+  /// thread-local scratch, so concurrent calls from different threads are
+  /// safe.
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
-  /// Thread-safe variant: all mutable state lives in `scratch`.
-  std::vector<Neighbor> Query(const float* query, size_t k, QueryStats* stats,
-                              QueryScratch* scratch) const;
   /// Honors the request's candidate-budget (`t` of Remark 2) and starting
   /// radius overrides, so one built index serves per-query accuracy/latency
-  /// trades without rebuilding.
+  /// trades without rebuilding. AnnIndex::QueryBatch fans batches out
+  /// through this entry point.
   QueryResponse Search(const float* query,
                        const QueryRequest& request) const override;
-  /// Fully parallel batch: one QueryScratch per worker thread over the
-  /// immutable read path; responses are identical to sequential execution.
-  std::vector<QueryResponse> QueryBatch(const FloatMatrix& queries,
-                                        const QueryRequest& request,
-                                        size_t num_threads = 0) const override;
-  /// The read path is thread-safe: all per-query state lives in a scratch
-  /// (thread-local for the scratch-less overloads), every structure access
-  /// is const. This is what lets a Collection fan reader threads into one
-  /// built DB-LSH under its shared lock.
+  /// The read path is thread-safe: all per-query state lives in the
+  /// calling thread's scratch and every structure access is const. This is
+  /// what lets a Collection fan reader threads into one built DB-LSH under
+  /// its shared lock.
   bool SupportsConcurrentQueries() const override { return true; }
   /// K*L: the paper's index-size proxy (n entries per hash function).
   size_t NumHashFunctions() const override { return params_.k * params_.l; }
@@ -211,6 +190,13 @@ class DbLsh : public AnnIndex {
                                      uint64_t dim, FloatMatrix* data,
                                      VectorStore* store);
 
+  /// The one piece of per-query state besides the top-k heap: which points
+  /// the query has already verified, as epoch stamps indexed by row.
+  struct QueryScratch {
+    std::vector<uint32_t> visited_epoch;
+    uint32_t epoch = 0;
+  };
+
   /// Runs one round of L window queries at radius r, feeding candidates into
   /// `verifier` (which owns the heap, budget and certification bound) until
   /// the budget is exhausted or the k-th distance drops below c*r. Returns
@@ -219,27 +205,27 @@ class DbLsh : public AnnIndex {
                 std::vector<uint32_t>* visited_mark, uint32_t query_epoch,
                 QueryStats* stats) const;
 
-  /// Sizes `scratch` for this index and advances its epoch; returns the
-  /// epoch to stamp visited points with.
+  /// Grows `scratch` to cover this index's rows and advances its epoch;
+  /// returns the epoch to stamp visited points with.
   uint32_t PrepareScratch(QueryScratch* scratch) const;
 
   /// Shared query path: the (r,c)-NN cascade with an explicit candidate
   /// budget constant `t` and starting radius `r0` (the per-query override
   /// hooks of the QueryRequest API).
   std::vector<Neighbor> QueryImpl(const float* query, size_t k, size_t t,
-                                  double r0, QueryStats* stats,
-                                  QueryScratch* scratch) const;
+                                  double r0, QueryStats* stats) const;
 
+  /// The bucket of width `width` around `proj_center` in space
+  /// `tree_index`: the query-centric window, or under fixed-grid bucketing
+  /// the grid cell containing it.
   rtree::Rect MakeBucket(const float* proj_center, size_t tree_index,
                          double width) const;
 
-  /// The calling thread's scratch for the scratch-less Query()/Search()
-  /// overloads. One scratch is shared by every DbLsh instance on the
-  /// thread: PrepareScratch re-assigns the stamp buffer on row-count
-  /// mismatch (growing or shrinking — a thread parks at most one
-  /// dataset's worth of stamps, not a high-water mark) and its epoch is
-  /// monotone per scratch, so stamps written through one index can never
-  /// alias another index's current epoch.
+  /// The calling thread's scratch. One scratch is shared by every DbLsh
+  /// instance on the thread: PrepareScratch only ever grows the stamp
+  /// buffer (a thread parks the largest dataset's worth of stamps it has
+  /// queried) and its epoch is monotone per thread, so stamps written
+  /// through one index are always below another index's current epoch.
   static QueryScratch& ThreadLocalScratch();
 
   DbLshParams params_;

@@ -15,12 +15,6 @@ namespace {
 /// on the query hot path and need no synchronization.
 thread_local const QueryFilter* g_active_filter = nullptr;
 
-/// Per-thread scratch for the quantized path's prepared query (see
-/// VectorStore::PrepareQuery). Rebuilt on every VerifyCandidates call —
-/// a dim-length pass per call, ~3% of a typical verification — so the
-/// scratch never holds a stale query across calls.
-thread_local std::vector<float> g_prepared_query;
-
 }  // namespace
 
 ScopedQueryFilter::ScopedQueryFilter(const QueryFilter* filter)
@@ -32,10 +26,15 @@ ScopedQueryFilter::~ScopedQueryFilter() { g_active_filter = previous_; }
 
 const QueryFilter* ScopedQueryFilter::Active() { return g_active_filter; }
 
-VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
-                              const uint32_t* ids, size_t n,
-                              const VerifyOptions& options, TopKHeap* heap,
-                              QueryStats* stats) {
+namespace {
+
+/// VerifyCandidates over a query already prepared for `data`'s store:
+/// `prep` is VectorStore::PrepareQuery's output when the store is
+/// quantized, and unused otherwise.
+VerifyResult VerifyPrepared(const float* query, const float* prep,
+                            const FloatMatrix& data, const uint32_t* ids,
+                            size_t n, const VerifyOptions& options,
+                            TopKHeap* heap, QueryStats* stats) {
   // Chunk sizing: with an early exit armed, small chunks bound the wasted
   // distance computations past the exit point; when no exit can fire (full
   // scans — LinearScan, ground truth) larger chunks keep the batch
@@ -58,8 +57,6 @@ VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
   // path is untouched (one pointer test per call).
   const VectorStore* store = data.store();
   const bool quantized = store != nullptr && store->quantized();
-  if (quantized) store->PrepareQuery(query, &g_prepared_query);
-  const float* prep = quantized ? g_prepared_query.data() : nullptr;
   // Tombstone filter: erased rows are dropped after the batch distance
   // computation, before the push — they consume neither budget nor
   // candidates_verified. The flag is hoisted so the static (no-mutation)
@@ -137,6 +134,31 @@ VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
   return result;
 }
 
+}  // namespace
+
+VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
+                              const uint32_t* ids, size_t n,
+                              const VerifyOptions& options, TopKHeap* heap,
+                              QueryStats* stats) {
+  std::vector<float> prepared;
+  const VectorStore* store = data.store();
+  if (store != nullptr && store->quantized()) {
+    store->PrepareQuery(query, &prepared);
+  }
+  return VerifyPrepared(query, prepared.data(), data, ids, n, options, heap,
+                        stats);
+}
+
+CandidateVerifier::CandidateVerifier(const float* query,
+                                     const FloatMatrix* data, TopKHeap* heap,
+                                     QueryStats* stats)
+    : query_(query), data_(data), heap_(heap), stats_(stats) {
+  const VectorStore* store = data->store();
+  if (store != nullptr && store->quantized()) {
+    store->PrepareQuery(query, &prepared_);
+  }
+}
+
 bool CandidateVerifier::Flush() {
   const size_t pending = buffered_;
   buffered_ = 0;
@@ -150,9 +172,9 @@ bool CandidateVerifier::Flush() {
   VerifyOptions options;
   options.budget = budget_ - verified_;
   options.dist_bound = dist_bound_;
-  const VerifyResult result = VerifyCandidates(query_, *data_, buffer_,
-                                               pending, options, heap_,
-                                               stats_);
+  const VerifyResult result =
+      VerifyPrepared(query_, prepared_.data(), *data_, buffer_, pending,
+                     options, heap_, stats_);
   verified_ += result.pushed;
   filtered_ += result.filtered;
   if (result.exited) done_ = true;

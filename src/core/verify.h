@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/query.h"
 #include "dataset/float_matrix.h"
@@ -129,10 +130,11 @@ class CandidateVerifier {
   static constexpr size_t kBatch = 32;
 
   /// `query`, `data`, `heap` and `stats` (nullable) must outlive the
-  /// verifier; distances pushed are actual (non-squared) L2.
+  /// verifier; distances pushed are actual (non-squared) L2. When `data`
+  /// is managed by a quantized VectorStore, the store's prepared query is
+  /// built here, once per query, and reused by every flush.
   CandidateVerifier(const float* query, const FloatMatrix* data,
-                    TopKHeap* heap, QueryStats* stats)
-      : query_(query), data_(data), heap_(heap), stats_(stats) {}
+                    TopKHeap* heap, QueryStats* stats);
 
   /// Cumulative push budget across the whole query (not per flush).
   void set_budget(size_t budget) { budget_ = budget; }
@@ -187,6 +189,9 @@ class CandidateVerifier {
   bool done_ = false;
   size_t buffered_ = 0;
   uint32_t buffer_[kBatch];
+  /// The store's prepared query (VectorStore::PrepareQuery); empty over
+  /// fp32 data.
+  std::vector<float> prepared_;
 };
 
 }  // namespace dblsh

@@ -90,15 +90,6 @@ class TaskExecutor {
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    size_t max_parallelism = 0);
 
-  /// ParallelFor with per-executor state: `make_worker()` runs once in each
-  /// participating thread (caller included) and returns that thread's
-  /// iteration body — the hook QueryBatch uses to give every worker its own
-  /// query scratch. Iterations are handed out dynamically; `make_worker`
-  /// and the returned bodies are only used before this call returns.
-  void ParallelForWorkers(
-      size_t n, size_t max_parallelism,
-      const std::function<std::function<void(size_t)>()>& make_worker);
-
   /// Runs one queued task on the calling thread if any is pending; returns
   /// whether a task ran. Lets a thread that must block on pool work lend a
   /// hand instead of deadlocking (see Collection::WaitForRebuilds).

@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -22,8 +25,10 @@
 #include "dataset/float_matrix.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
+#include "durability/format.h"
 #include "eval/metrics.h"
 #include "exec/task_executor.h"
+#include "simd/simd.h"
 #include "util/random.h"
 
 namespace dblsh {
@@ -1121,6 +1126,207 @@ TEST(ShardedCollectionTest, BackgroundRebuildSwapsInOffTheWriteLock) {
   auto after = c.Search(outlier.data(), request, "PM-LSH");
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(ContainsId(after.value().neighbors, id));
+}
+
+
+// ------------------------------------------------- one search path ------
+
+// Deleting every row leaves each shard empty but its slots built: the
+// answer is OK with no neighbours at every shard count, through Search
+// and SearchBatch, by default route and by name. Only a collection with
+// no built slot anywhere answers InvalidArgument.
+TEST(ShardedCollectionTest, EmptiedCollectionAnswersOkAtEveryShardCount) {
+  const size_t dim = 8;
+  const FloatMatrix queries = EasyData(5, dim, 7071);
+  QueryRequest request;
+  request.k = 5;
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string spec = "collection,shards=" + std::to_string(shards) +
+                             ": DB-LSH,t=16; LinearScan";
+    auto made = Collection::FromSpec(spec, EasyDataPtr(120, dim, 7070));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    Collection& c = *made.value();
+    for (uint32_t id = 0; id < 120; ++id) ASSERT_TRUE(c.Delete(id).ok()) << id;
+    ASSERT_EQ(c.size(), 0u);
+    for (const char* index : {"", "DB-LSH", "LinearScan"}) {
+      const std::string context =
+          "shards=" + std::to_string(shards) + " index=\"" + index + "\"";
+      auto one = c.Search(queries.row(0), request, index);
+      ASSERT_TRUE(one.ok()) << context << ": " << one.status().ToString();
+      EXPECT_TRUE(one.value().neighbors.empty()) << context;
+      auto batch = c.SearchBatch(queries, request, index, 2);
+      ASSERT_TRUE(batch.ok()) << context << ": " << batch.status().ToString();
+      ASSERT_EQ(batch.value().size(), queries.rows()) << context;
+      for (const QueryResponse& response : batch.value()) {
+        EXPECT_TRUE(response.neighbors.empty()) << context;
+      }
+    }
+
+    CollectionOptions options;
+    options.shards = shards;
+    Collection fresh(dim, options);
+    ASSERT_TRUE(fresh.AddIndex("DB-LSH,t=16").ok());
+    ASSERT_TRUE(fresh.AddIndex("LinearScan").ok());
+    EXPECT_EQ(fresh.Search(queries.row(0), request).status().code(),
+              StatusCode::kInvalidArgument)
+        << shards;
+    EXPECT_EQ(fresh.SearchBatch(queries, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << shards;
+  }
+}
+
+// A one-shard SearchBatch runs on the collection's injected executor (and
+// the caller), never on the process-wide default pool: the probe filter
+// records every thread a candidate is verified on.
+TEST(ShardedCollectionTest, OneShardSearchBatchRunsOnInjectedExecutor) {
+  exec::TaskExecutor pool(2);
+  // The pool's worker ids: two tasks that each wait for the other can only
+  // finish on two distinct workers.
+  std::mutex mutex;
+  std::set<std::thread::id> pool_ids;
+  std::atomic<int> arrived{0};
+  std::vector<std::future<void>> parked;
+  for (int i = 0; i < 2; ++i) {
+    parked.push_back(pool.Submit([&] {
+      {
+        std::lock_guard lock(mutex);
+        pool_ids.insert(std::this_thread::get_id());
+      }
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+    }));
+  }
+  for (auto& done : parked) done.get();
+  ASSERT_EQ(pool_ids.size(), 2u);
+
+  CollectionOptions options;
+  options.executor = &pool;
+  Collection c(16, options);
+  ASSERT_TRUE(c.AddIndex("DB-LSH,t=16").ok());
+  const FloatMatrix data = EasyData(2000, 16, 7272);
+  for (size_t row = 0; row < data.rows(); ++row) {
+    ASSERT_TRUE(c.Upsert(data.row(row), data.cols()).ok());
+  }
+
+  // Each verifying thread waits (bounded) until a second thread has
+  // joined, so the fan-out's helpers are sure to show up in the probe.
+  std::set<std::thread::id> seen;
+  QueryRequest request;
+  request.k = 5;
+  request.filter = QueryFilter::Of([&](uint32_t) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      {
+        std::lock_guard lock(mutex);
+        seen.insert(std::this_thread::get_id());
+        if (seen.size() >= 2) return true;
+      }
+      if (std::chrono::steady_clock::now() > deadline) return true;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const FloatMatrix queries = EasyData(64, 16, 7273);
+  auto got = c.SearchBatch(queries, request, "", 3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got.value().size(), queries.rows());
+
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_GE(seen.size(), 2u);
+  for (const std::thread::id id : seen) {
+    EXPECT_TRUE(id == caller || pool_ids.count(id) == 1)
+        << "a verification ran outside the caller and the injected pool";
+  }
+}
+
+// Folds responses into one digest: per neighbour its id and the bits of
+// its distance, then the query's four work counters.
+uint64_t DigestOf(const std::vector<QueryResponse>& responses) {
+  uint64_t digest = durability::Fnv1a64(nullptr, 0);
+  auto fold = [&digest](const void* bytes, size_t len) {
+    digest =
+        durability::Fnv1a64(static_cast<const uint8_t*>(bytes), len, digest);
+  };
+  for (const QueryResponse& response : responses) {
+    for (const Neighbor& nb : response.neighbors) {
+      fold(&nb.id, sizeof(nb.id));
+      fold(&nb.dist, sizeof(nb.dist));
+    }
+    const uint64_t counters[] = {response.stats.candidates_verified,
+                                 response.stats.points_accessed,
+                                 response.stats.rounds,
+                                 response.stats.window_queries};
+    fold(counters, sizeof(counters));
+  }
+  return digest;
+}
+
+// Differential pin of the one-shard search path. The digests were taken
+// when a one-shard collection still had its own Search/SearchBatch code
+// and DB-LSH its own QueryBatch; every path must keep reproducing them
+// (answers and work counters) through the shard fan-out.
+TEST(CollectionSearchPathTest, OneShardDigestsArePinned) {
+  const size_t dim = 24;
+  const FloatMatrix data = EasyData(4000, dim, 5150);
+  const FloatMatrix queries = EasyData(200, dim, 5151);
+  std::vector<uint32_t> denied;
+  for (uint32_t id = 0; id < data.rows(); id += 3) denied.push_back(id);
+
+  struct Case {
+    const char* name;
+    const char* spec;
+    QueryRequest request;
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {"fp32", "collection: DB-LSH", {}};
+  cases[1] = {"sq8", "collection,storage=sq8: DB-LSH", {}};
+  cases[2] = {"deny", "collection: DB-LSH", {}};
+  cases[2].request.filter = QueryFilter::Deny(denied);
+  cases[3] = {"overrides", "collection: DB-LSH", {}};
+  cases[3].request.candidate_budget = 6;
+  cases[3].request.r0 = 0.5;
+  // Per SIMD tier (the tiers sum distances in different orders), per
+  // case: Search, SearchBatch at 4 threads, DB-LSH's QueryBatch.
+  const uint64_t pinned_avx2[4][3] = {
+      {0xdc095828b6293a01ull, 0xdc095828b6293a01ull, 0xdc095828b6293a01ull},
+      {0xf7f1157b7939159dull, 0xf7f1157b7939159dull, 0xd1dfe486fb24f606ull},
+      {0x0e049616b3787c4aull, 0x0e049616b3787c4aull, 0x0e049616b3787c4aull},
+      {0x758e52bb89739981ull, 0x758e52bb89739981ull, 0x758e52bb89739981ull},
+  };
+  const uint64_t pinned_scalar[4][3] = {
+      {0xee1f8ebef5226599ull, 0xee1f8ebef5226599ull, 0xee1f8ebef5226599ull},
+      {0x347cfaa8dc71b141ull, 0x347cfaa8dc71b141ull, 0xeeb2fbe940ec7d27ull},
+      {0x340bb0cd7bde7664ull, 0x340bb0cd7bde7664ull, 0x340bb0cd7bde7664ull},
+      {0xa036f65877c12addull, 0xa036f65877c12addull, 0xa036f65877c12addull},
+  };
+  const auto& pinned = simd::Active().kind == simd::KernelKind::kScalar
+                           ? pinned_scalar
+                           : pinned_avx2;
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& test = cases[i];
+    auto made =
+        Collection::FromSpec(test.spec, std::make_unique<FloatMatrix>(data));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const Collection& c = *made.value();
+    std::vector<QueryResponse> searched;
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      auto got = c.Search(queries.row(q), test.request);
+      ASSERT_TRUE(got.ok()) << test.name << ": " << got.status().ToString();
+      searched.push_back(std::move(got).value());
+    }
+    auto batched = c.SearchBatch(queries, test.request, "", 4);
+    ASSERT_TRUE(batched.ok()) << test.name;
+    const std::vector<QueryResponse> indexed =
+        c.GetIndex("DB-LSH")->QueryBatch(queries, test.request, 4);
+    const uint64_t got[3] = {DigestOf(searched), DigestOf(batched.value()),
+                             DigestOf(indexed)};
+    for (size_t path = 0; path < 3; ++path) {
+      EXPECT_EQ(got[path], pinned[i][path])
+          << test.name << " path " << path << ": 0x" << std::hex << got[path];
+    }
+  }
 }
 
 }  // namespace

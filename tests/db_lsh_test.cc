@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "baselines/fb_lsh.h"
 #include "core/db_lsh.h"
@@ -317,6 +319,50 @@ TEST(DbLshBuildTest, HighDimensionalData) {
   const auto result = index.Query(data.row(1), 5);
   ASSERT_FALSE(result.empty());
   EXPECT_FLOAT_EQ(result[0].dist, 0.f);
+}
+
+
+// One thread's query scratch serves every index the thread queries, and
+// its stamp buffer only grows. Alternating between a small and a large
+// index (the shards of one collection do this) must answer exactly like a
+// fresh thread that never saw the other index.
+TEST(DbLshQueryTest, AlternatingIndexesOfUnequalSizeMatchFreshThreads) {
+  const FloatMatrix small_data = EasyData(300, 16, 31);
+  const FloatMatrix large_data = EasyData(5000, 16, 32);
+  const FloatMatrix queries = EasyData(20, 16, 33);
+  DbLsh small_index, large_index;
+  ASSERT_TRUE(small_index.Build(&small_data).ok());
+  ASSERT_TRUE(large_index.Build(&large_data).ok());
+  auto answer = [&queries](const DbLsh& index, size_t q) {
+    QueryResponse response;
+    response.neighbors = index.Query(queries.row(q), 10, &response.stats);
+    return response;
+  };
+  auto on_fresh_thread = [&](const DbLsh& index) {
+    std::vector<QueryResponse> responses;
+    std::thread([&] {
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        responses.push_back(answer(index, q));
+      }
+    }).join();
+    return responses;
+  };
+  const std::vector<QueryResponse> want_small = on_fresh_thread(small_index);
+  const std::vector<QueryResponse> want_large = on_fresh_thread(large_index);
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      for (const bool large : {pass == 0, pass != 0}) {
+        const QueryResponse got =
+            answer(large ? large_index : small_index, q);
+        const QueryResponse& want = large ? want_large[q] : want_small[q];
+        EXPECT_EQ(got.neighbors, want.neighbors) << q << " large=" << large;
+        EXPECT_EQ(got.stats.candidates_verified,
+                  want.stats.candidates_verified);
+        EXPECT_EQ(got.stats.points_accessed, want.stats.points_accessed);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,14 +1,11 @@
 // Tests for the exec::TaskExecutor: future-returning Submit, dynamic
-// ParallelFor coverage, per-worker state, nested parallel sections on a
+// ParallelFor coverage, nested parallel sections on a
 // saturated pool, exception propagation from both entry points, and the
 // drain-on-shutdown guarantee for pending tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -60,29 +57,6 @@ TEST(ExecTest, ParallelForHonorsMaxParallelismOne) {
       },
       /*max_parallelism=*/1);
   EXPECT_EQ(peak.load(), 1);
-}
-
-TEST(ExecTest, ParallelForWorkersGivesEachThreadItsOwnState) {
-  TaskExecutor pool(3);
-  std::mutex mutex;
-  std::set<const int*> states_seen;
-  std::atomic<size_t> iterations{0};
-  pool.ParallelForWorkers(512, /*max_parallelism=*/4, [&]() {
-    // One counter per participating thread: the returned body must only
-    // ever see the state its own make_worker call produced.
-    auto counter = std::make_shared<int>(0);
-    {
-      std::lock_guard lock(mutex);
-      states_seen.insert(counter.get());
-    }
-    return [counter, &iterations](size_t) {
-      ++*counter;
-      iterations.fetch_add(1, std::memory_order_relaxed);
-    };
-  });
-  EXPECT_EQ(iterations.load(), 512u);
-  EXPECT_GE(states_seen.size(), 1u);
-  EXPECT_LE(states_seen.size(), 4u);
 }
 
 TEST(ExecTest, NestedParallelForCompletesOnSaturatedPool) {

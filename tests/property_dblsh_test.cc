@@ -1,6 +1,6 @@
 // Parameterized property tests of the DB-LSH index across approximation
 // ratios, bucket widths, table counts and bucketing modes, plus tests for
-// the SRS baseline and the parallel batch query runner.
+// the SRS baseline and DB-LSH's parallel QueryBatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
-#include "eval/parallel.h"
 
 namespace dblsh {
 namespace {
@@ -215,15 +214,22 @@ TEST(ParallelQueryTest, MatchesSequentialExactly) {
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  const auto parallel = eval::ParallelQuery(index, f.queries, 10, 4);
+  QueryRequest request;
+  request.k = 10;
+  const auto parallel = index.QueryBatch(f.queries, request, 4);
   ASSERT_EQ(parallel.size(), f.queries.rows());
   for (size_t q = 0; q < f.queries.rows(); ++q) {
-    const auto sequential = index.Query(f.queries.row(q), 10);
-    ASSERT_EQ(parallel[q].size(), sequential.size()) << "query " << q;
+    QueryStats stats;
+    const auto sequential = index.Query(f.queries.row(q), 10, &stats);
+    ASSERT_EQ(parallel[q].neighbors.size(), sequential.size()) << "query " << q;
     for (size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_EQ(parallel[q][i].id, sequential[i].id);
-      EXPECT_FLOAT_EQ(parallel[q][i].dist, sequential[i].dist);
+      EXPECT_EQ(parallel[q].neighbors[i].id, sequential[i].id);
+      EXPECT_FLOAT_EQ(parallel[q].neighbors[i].dist, sequential[i].dist);
     }
+    EXPECT_EQ(parallel[q].stats.candidates_verified,
+              stats.candidates_verified);
+    EXPECT_EQ(parallel[q].stats.points_accessed, stats.points_accessed);
+    EXPECT_EQ(parallel[q].stats.rounds, stats.rounds);
   }
 }
 
@@ -231,24 +237,33 @@ TEST(ParallelQueryTest, SingleThreadAndEmptyInputs) {
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  const auto one = eval::ParallelQuery(index, f.queries, 5, 1);
+  QueryRequest request;
+  request.k = 5;
+  const auto one = index.QueryBatch(f.queries, request, 1);
   EXPECT_EQ(one.size(), f.queries.rows());
   FloatMatrix none(0, f.data.cols());
-  EXPECT_TRUE(eval::ParallelQuery(index, none, 5, 4).empty());
+  EXPECT_TRUE(index.QueryBatch(none, request, 4).empty());
 }
 
 TEST(ParallelQueryTest, ScratchReuseAcrossManyQueries) {
-  // Exercises the epoch machinery in a caller-owned scratch.
+  // Exercises the epoch machinery of the thread-local scratch: batches on
+  // the caller (1 thread) and on the pool reuse their threads' stamps
+  // across many queries and must keep answering like a single query.
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  DbLsh::QueryScratch scratch;
+  QueryRequest request;
+  request.k = 5;
   for (int repeat = 0; repeat < 3; ++repeat) {
+    const auto inline_batch = index.QueryBatch(f.queries, request, 1);
+    const auto pooled_batch = index.QueryBatch(f.queries, request, 4);
     for (size_t q = 0; q < f.queries.rows(); ++q) {
-      const auto a = index.Query(f.queries.row(q), 5, nullptr, &scratch);
       const auto b = index.Query(f.queries.row(q), 5);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
+      for (const auto* a : {&inline_batch[q].neighbors,
+                            &pooled_batch[q].neighbors}) {
+        ASSERT_EQ(a->size(), b.size());
+        for (size_t i = 0; i < b.size(); ++i) EXPECT_EQ((*a)[i].id, b[i].id);
+      }
     }
   }
 }
